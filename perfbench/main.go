@@ -225,7 +225,8 @@ type phase struct {
 }
 
 // timedPhase runs the closed loop: each client takes the next item of the
-// cycled deck, waits for its answer, and repeats until d has passed. The
+// cycled deck, waits for its answer, and repeats until d has passed. A
+// deck's head is answered once; the cycle repeats its rounds. The
 // instance a client is working on when the time is up is cancelled and
 // dropped.
 func timedPhase(w workload, d time.Duration, traced bool) *phase {
@@ -234,6 +235,7 @@ func timedPhase(w workload, d time.Duration, traced bool) *phase {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()
+	head, _ := deckRounds(w)
 	var next atomic.Int64
 	clients := defaultClients
 	if c, ok := w.(interface{ nclients() int }); ok {
@@ -249,7 +251,10 @@ func timedPhase(w workload, d time.Duration, traced bool) *phase {
 			defer wg.Done()
 			for ctx.Err() == nil {
 				k := int(next.Add(1) - 1)
-				i := k % w.size()
+				i := k
+				if k >= w.size() {
+					i = head + (k-head)%(w.size()-head)
+				}
 				t0 := time.Now()
 				o := w.run(ctx, i, traced)
 				if ctx.Err() != nil {
@@ -322,10 +327,7 @@ type window struct {
 // throughput by 12%. A workload without rounds, or a phase that completed
 // none, is measured to its last answer.
 func (ph *phase) window(w workload) window {
-	head, size := 0, 0
-	if r, ok := w.(interface{ rounds() (head, size int) }); ok {
-		head, size = r.rounds()
-	}
+	head, size := deckRounds(w)
 	roundOf := func(o *outcome) int {
 		if o.seq < head {
 			return -1
@@ -383,6 +385,16 @@ func (ph *phase) window(w workload) window {
 }
 
 func (win window) rate() float64 { return ratio(float64(win.verdicts), win.time.Seconds()) }
+
+// deckRounds is the workload's deck layout: a head answered once, then
+// rounds of size entries with one instance mix. Zero size means the deck
+// has no rounds.
+func deckRounds(w workload) (head, size int) {
+	if r, ok := w.(interface{ rounds() (head, size int) }); ok {
+		return r.rounds()
+	}
+	return 0, 0
+}
 
 func endToEnd(m map[string]metric, w workload, ph *phase, setup time.Duration) {
 	win := ph.window(w)
