@@ -152,11 +152,7 @@ func (d *engineDeck) nclients() int {
 	return defaultClients
 }
 
-func (d *engineDeck) rounds() (head, size int) { return d.head, d.roundLen }
-
 func (d *engineDeck) size() int { return len(d.probs) }
-
-func (d *engineDeck) close() {}
 
 func (d *engineDeck) run(ctx context.Context, i int, traced bool) outcome {
 	var cfg core.Config
@@ -169,7 +165,7 @@ func (d *engineDeck) run(ctx context.Context, i int, traced bool) outcome {
 	if l != nil {
 		l.stats, l.solves = res.Stats, 1
 	}
-	return outcome{verdict: res.Status.String(), res: res, layers: l}
+	return outcome{res: res, layers: l}
 }
 
 func (d *engineDeck) verify(o *outcome) error {

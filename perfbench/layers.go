@@ -5,9 +5,6 @@ import (
 	"os"
 	"sort"
 	"time"
-
-	"absolver/internal/core"
-	"absolver/internal/server/api"
 )
 
 // reconcileTol bounds how much of a stage's time the decorators may
@@ -17,21 +14,15 @@ import (
 // busy time is never larger than its stage; the shortfall measured on the
 // workloads is under 1% of engine wall time. The nonlinear stage's
 // uncovered time is PolyAR, reported as polyar.busy_s, so there only the
-// upper check applies. daemon-mix uses it the same way: queue wait plus
-// engine time may exceed the client latency by at most this share.
+// upper check applies.
 const reconcileTol = 0.05
 
 // perLayer fills the traced run's per-layer metrics. Busy times and
-// counts are totals over the traced timed phase; server.* times are
-// means per request.
-func perLayer(m map[string]metric, w workload, info setupInfo, plain, tr *phase) error {
+// counts are totals over the traced timed phase.
+func perLayer(m map[string]metric, w *engineDeck, info setupInfo, plain, tr *phase) error {
 	var l layers
 	for i := range tr.out {
-		o := &tr.out[i]
-		if o.layers != nil {
-			l.merge(o.layers)
-		}
-		l.stats.Merge(replyStats(o.resp))
+		l.merge(tr.out[i].layers)
 	}
 	st := l.stats
 	put := func(k string, v float64, unit string) { m[k] = metric{v, unit} }
@@ -50,9 +41,6 @@ func perLayer(m map[string]metric, w workload, info setupInfo, plain, tr *phase)
 	put("nlp.busy_s", sec(l.nlpBusy), "s")
 	put("nlp.unknown_ratio", ratio(float64(st.NLPUnknown), float64(st.NonlinearChecks)), "ratio")
 	polyar := st.NonlinearTime - l.nlpBusy
-	if l.solves == 0 {
-		polyar = 0 // no decorators: the daemon's engines are not traced
-	}
 	put("polyar.busy_s", sec(polyar), "s")
 	put("polyar.regions", float64(st.PolyARRegions), "count")
 	put("polyar.pruned_ratio", ratio(float64(st.PolyARPruned), float64(st.PolyARRegions)), "ratio")
@@ -90,43 +78,15 @@ func perLayer(m map[string]metric, w workload, info setupInfo, plain, tr *phase)
 		}
 		slowest(tr, w)
 	}
-
-	if tr.metrics != nil {
-		return daemonLayers(put, w.(*daemonDeck), tr)
-	}
 	return nil
-}
-
-// replyStats is the engine Stats a daemon reply carries.
-func replyStats(resp any) core.Stats {
-	var s core.Stats
-	switch r := resp.(type) {
-	case *solveReply:
-		s = r.stats.ToCore()
-	case *batchReply:
-		for _, it := range r.items {
-			if it.Result != nil {
-				s.Merge(it.Result.Stats.ToCore())
-			}
-		}
-	case *api.CheckResponse:
-		s = r.Stats.ToCore()
-	}
-	return s
 }
 
 // slowest prints the layer split of the traced phase's three slowest
 // instances: where a long instance's time goes.
-func slowest(tr *phase, w workload) {
-	d, ok := w.(*engineDeck)
-	if !ok {
-		return
-	}
+func slowest(tr *phase, d *engineDeck) {
 	idx := make([]int, 0, len(tr.out))
 	for i := range tr.out {
-		if tr.out[i].layers != nil {
-			idx = append(idx, i)
-		}
+		idx = append(idx, i)
 	}
 	sort.Slice(idx, func(a, b int) bool { return tr.out[idx[a]].latency > tr.out[idx[b]].latency })
 	if len(idx) > 3 {
@@ -141,37 +101,4 @@ func slowest(tr *phase, w workload) {
 			(st.NonlinearTime - l.nlpBusy).Seconds(), (st.WallTime - st.BoolTime - st.LinearTime - st.NonlinearTime).Seconds(),
 			st.Iterations, st.LinearChecks, st.NonlinearChecks, st.PolyARRegions)
 	}
-}
-
-// daemonLayers splits daemon-mix's client latency into the server's
-// queue wait and engine wall time (their /metrics deltas over the traced
-// phase) and the rest, the server's own time: HTTP, parsing, the verdict
-// cache and response encoding.
-func daemonLayers(put func(string, float64, string), d *daemonDeck, tr *phase) error {
-	srv := tr.metrics
-	n := float64(len(tr.out))
-	lat := 0.0
-	for _, x := range tr.latencies(nil) {
-		lat += x
-	}
-	queue := srv["absolverd_queue_wait_seconds_total"]
-	engine := srv["absolverd_engine_wall_seconds_total"]
-	self := (lat - queue - engine) / n
-	fmt.Fprintf(os.Stderr, "  server: latency %.6fs = queue %.6fs + engine %.6fs + self %.6fs per request\n", lat/n, queue/n, engine/n, self)
-	if queue+engine > lat*(1+reconcileTol) {
-		return fmt.Errorf("server queue %.3fs + engine %.3fs exceed the client latency %.3fs", queue, engine, lat)
-	}
-	hits, misses := srv["absolverd_cache_hits_total"], srv["absolverd_cache_misses_total"]
-	kindP50 := func(k reqKind) float64 {
-		return median(tr.latencies(func(o *outcome) bool { return d.deck[o.item].kind == k }))
-	}
-	put("server.queue_wait_s", queue/n, "s/request")
-	put("server.engine_s", engine/n, "s/request")
-	put("server.self_s", self, "s/request")
-	put("server.cache_hit_ratio", ratio(hits, hits+misses), "ratio")
-	put("server.solve_p50_s", kindP50(kindSolve), "s")
-	put("server.batch_p50_s", kindP50(kindBatch), "s")
-	put("server.check_p50_s", kindP50(kindCheck), "s")
-	put("mc.depths", srv["absolverd_check_depths_total"], "count")
-	return nil
 }

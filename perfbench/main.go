@@ -49,47 +49,24 @@ const (
 	setupBudget  = 2 * time.Second
 )
 
-// outcome is one answered instance or request.
+// outcome is one answered instance.
 type outcome struct {
 	item    int           // deck index
-	seq     int           // position in the phase's cycled deck: item = seq % size
+	seq     int           // position in the phase's cycled deck
 	end     time.Duration // since the timed phase began
 	latency time.Duration
-	// verdict is sat, unsat, proved, falsified, or all-decided (a batch
-	// whose every instance is sat or unsat) when definitive; unknown,
-	// bound_reached, error or rejected otherwise.
-	verdict string
 	alloc   uint64 // cumulative heap allocation when the answer came
+	res     core.Result
 	// wrong is set by the correctness gate.
 	wrong error
-	// res is the engine workloads' result; resp the daemon's response.
-	res  core.Result
-	resp any
 	// layers is the traced engine layers of this instance (traced runs).
 	layers *layers
 }
 
+// decided reports a definitive verdict that passed the correctness gate;
+// unknown, errors and wrong verdicts count against decided_ratio.
 func (o *outcome) decided() bool {
-	if o.wrong != nil {
-		return false
-	}
-	switch o.verdict {
-	case "sat", "unsat", "proved", "falsified", "all-decided":
-		return true
-	}
-	return false
-}
-
-// workload is one seeded deck of inputs, already set up. The timed phase
-// cycles through items 0..size()-1 in order.
-type workload interface {
-	size() int
-	// run answers item i; traced runs also time the engine's layers.
-	run(ctx context.Context, i int, traced bool) outcome
-	// verify is the correctness gate for one outcome.
-	verify(o *outcome) error
-	// close releases what set-up started (the daemon).
-	close()
+	return o.wrong == nil && (o.res.Status == core.StatusSat || o.res.Status == core.StatusUnsat)
 }
 
 // setupInfo is what set-up reports besides its wall time.
@@ -98,13 +75,12 @@ type setupInfo struct {
 	parseBytes int           // wire-format bytes parsed
 }
 
-type buildFunc func(seed int64) (workload, setupInfo, error)
+type buildFunc func(seed int64) (*engineDeck, setupInfo, error)
 
 var workloads = map[string]buildFunc{
 	"fischer-lp":  buildFischer,
 	"steering-nl": buildSteering,
 	"sudoku-sat":  buildSudoku,
-	"daemon-mix":  buildDaemon,
 }
 
 type metric struct {
@@ -120,14 +96,14 @@ type report struct {
 }
 
 func main() {
-	name := flag.String("workload", "", "fischer-lp, steering-nl, sudoku-sat or daemon-mix")
+	name := flag.String("workload", "", "fischer-lp, steering-nl or sudoku-sat")
 	seed := flag.Int64("seed", defaultSeed, fmt.Sprintf("workload seed: the same seed gives the same inputs (held-out seed for confirming claims: %d)", heldOutSeed))
 	seconds := flag.Int("seconds", 20, "length of the timed phase")
 	trace := flag.Int("trace", 0, "1 prints the per-layer metrics instead of the end-to-end ones")
 	flag.Parse()
 	build, ok := workloads[*name]
 	if !ok || *seconds < 1 || (*trace != 0 && *trace != 1) {
-		fmt.Fprintln(os.Stderr, "usage: perfbench --workload fischer-lp|steering-nl|sudoku-sat|daemon-mix --seed N --seconds S --trace 0|1")
+		fmt.Fprintln(os.Stderr, "usage: perfbench --workload fischer-lp|steering-nl|sudoku-sat --seed N --seconds S --trace 0|1")
 		os.Exit(2)
 	}
 	rep, err := runBenchmark(*name, build, *seed, time.Duration(*seconds)*time.Second, *trace == 1)
@@ -151,7 +127,6 @@ func runBenchmark(name string, build buildFunc, seed int64, d time.Duration, tra
 	if err != nil {
 		return nil, err
 	}
-	defer w.close()
 
 	plain := timedPhase(w, d, false)
 	phases := []*phase{plain}
@@ -189,17 +164,15 @@ func runBenchmark(name string, build buildFunc, seed int64, d time.Duration, tra
 }
 
 // setUp builds the workload repeatedly and keeps the last one. Each
-// repetition starts after a GC so garbage from the previous one is not
-// charged to it.
-func setUp(build buildFunc, seed int64) (workload, setupInfo, time.Duration, error) {
+// repetition starts after a GC, with the previous deck already dropped,
+// so neither its garbage nor its live heap is charged to the next.
+func setUp(build buildFunc, seed int64) (*engineDeck, setupInfo, time.Duration, error) {
 	var times []float64
-	var w workload
+	var w *engineDeck
 	var info setupInfo
 	var spent time.Duration
 	for r := 0; r < minSetupReps || spent < setupBudget; r++ {
-		if w != nil {
-			w.close()
-		}
+		w = nil
 		runtime.GC()
 		start := time.Now()
 		var err error
@@ -220,8 +193,6 @@ type phase struct {
 	out    []outcome
 	alloc0 uint64 // heap bytes allocated when the phase began
 	failed int
-	// metrics is the daemon's /metrics delta over the phase (daemon-mix).
-	metrics map[string]float64
 }
 
 // timedPhase runs the closed loop: each client takes the next item of the
@@ -229,18 +200,12 @@ type phase struct {
 // deck's head is answered once; the cycle repeats its rounds. The
 // instance a client is working on when the time is up is cancelled and
 // dropped.
-func timedPhase(w workload, d time.Duration, traced bool) *phase {
-	if s, ok := w.(interface{ beginPhase() }); ok {
-		s.beginPhase()
-	}
+func timedPhase(w *engineDeck, d time.Duration, traced bool) *phase {
 	ctx, cancel := context.WithTimeout(context.Background(), d)
 	defer cancel()
-	head, _ := deckRounds(w)
+	head := w.head
 	var next atomic.Int64
-	clients := defaultClients
-	if c, ok := w.(interface{ nclients() int }); ok {
-		clients = c.nclients()
-	}
+	clients := w.nclients()
 	per := make([][]outcome, clients)
 	ph := &phase{alloc0: allocated()}
 	start := time.Now()
@@ -272,9 +237,6 @@ func timedPhase(w workload, d time.Duration, traced bool) *phase {
 	for _, got := range per {
 		ph.out = append(ph.out, got...)
 	}
-	if s, ok := w.(interface{ endPhase() map[string]float64 }); ok {
-		ph.metrics = s.endPhase()
-	}
 	return ph
 }
 
@@ -289,7 +251,7 @@ func allocated() uint64 {
 
 // gate checks every outcome of a phase; it runs after the phase, outside
 // both the timed phase and set-up.
-func gate(w workload, ph *phase) {
+func gate(w *engineDeck, ph *phase) {
 	for i := range ph.out {
 		o := &ph.out[i]
 		if o.wrong = w.verify(o); o.wrong != nil {
@@ -324,10 +286,10 @@ type window struct {
 // the number of rounds the machine's speed allowed changes the figures,
 // and the head weighs what it weighs in the deck: on steering-nl, whose
 // head holds Car steering, a third completed round otherwise raised
-// throughput by 12%. A workload without rounds, or a phase that completed
-// none, is measured to its last answer.
-func (ph *phase) window(w workload) window {
-	head, size := deckRounds(w)
+// throughput by 12%. A phase that completed no round is measured to its
+// last answer.
+func (ph *phase) window(w *engineDeck) window {
+	head, size := w.head, w.roundLen
 	roundOf := func(o *outcome) int {
 		if o.seq < head {
 			return -1
@@ -335,10 +297,8 @@ func (ph *phase) window(w workload) window {
 		return (o.seq - head) / size
 	}
 	got := map[int]int{}
-	if size > 0 {
-		for i := range ph.out {
-			got[roundOf(&ph.out[i])]++
-		}
+	for i := range ph.out {
+		got[roundOf(&ph.out[i])]++
 	}
 	complete := func(o *outcome) bool {
 		if size == 0 {
@@ -386,17 +346,7 @@ func (ph *phase) window(w workload) window {
 
 func (win window) rate() float64 { return ratio(float64(win.verdicts), win.time.Seconds()) }
 
-// deckRounds is the workload's deck layout: a head answered once, then
-// rounds of size entries with one instance mix. Zero size means the deck
-// has no rounds.
-func deckRounds(w workload) (head, size int) {
-	if r, ok := w.(interface{ rounds() (head, size int) }); ok {
-		return r.rounds()
-	}
-	return 0, 0
-}
-
-func endToEnd(m map[string]metric, w workload, ph *phase, setup time.Duration) {
+func endToEnd(m map[string]metric, w *engineDeck, ph *phase, setup time.Duration) {
 	win := ph.window(w)
 	decided := 0
 	for i := range ph.out {

@@ -15,19 +15,18 @@ import (
 func TestTracedMatchesUntraced(t *testing.T) {
 	heads := map[string]int{"fischer-lp": 12, "sudoku-sat": 12, "steering-nl": 60}
 	for name, n := range heads {
-		w, _, err := workloads[name](defaultSeed)
+		d, _, err := workloads[name](defaultSeed)
 		if err != nil {
 			t.Fatalf("%s: set-up: %v", name, err)
 		}
-		d := w.(*engineDeck)
 		for i := 0; i < n; i++ {
 			if testing.Short() && d.names[i] == "Car steering" {
 				continue
 			}
 			plain := d.run(context.Background(), i, false)
 			traced := d.run(context.Background(), i, true)
-			if plain.verdict != traced.verdict {
-				t.Errorf("%s %s: verdict %s untraced, %s traced", name, d.names[i], plain.verdict, traced.verdict)
+			if plain.res.Status != traced.res.Status {
+				t.Errorf("%s %s: verdict %v untraced, %v traced", name, d.names[i], plain.res.Status, traced.res.Status)
 			}
 			if a, b := plain.res.Stats.Counters(), traced.res.Stats.Counters(); !reflect.DeepEqual(a, b) {
 				t.Errorf("%s %s: counters differ\nuntraced %v\ntraced   %v", name, d.names[i], a, b)
