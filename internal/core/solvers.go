@@ -296,20 +296,10 @@ func (s *SimplexSolver) Check(ctx context.Context, rows []lp.Constraint, lower, 
 	// Cheap refutation first: bound propagation proves most conjunction
 	// conflicts (equality chains) without a simplex run, and the
 	// propagation-only deletion filter minimises them without one either.
-	if iis := p.IISByPropagation(); iis != nil {
-		return LinearVerdict{Status: lp.Infeasible, IIS: iis}
-	}
-	var res lp.Result
-	if len(p.Integer) > 0 {
-		mr := p.SolveMIPContext(ctx, s.MaxNodes)
-		res = mr.Result
-	} else {
-		res = p.SolveContext(ctx)
-	}
+	res, iis := p.CheckContext(ctx, s.MaxNodes)
 	s.Pivots += res.Pivots
-	v := LinearVerdict{Status: res.Status, X: res.X}
+	v := LinearVerdict{Status: res.Status, X: res.X, IIS: iis}
 	if res.Status == lp.Infeasible {
-		v.IIS = p.IISContext(ctx)
 		if len(p.Integer) > 0 && v.IIS == nil {
 			// Integrality-driven infeasibility: the relaxation is feasible,
 			// so the deletion filter over the relaxation finds nothing.

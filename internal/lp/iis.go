@@ -20,38 +20,29 @@ func (p *Problem) IIS() []int {
 // checks ctx between removal tests and returns nil once it is cancelled
 // (callers treat a nil IIS as "could not minimise").
 func (p *Problem) IISContext(ctx context.Context) []int {
-	if !p.RefutedByPropagation() && p.SolveContext(ctx).Status != Infeasible {
+	s := compileRows(p.Constraints, p.Lower, p.Upper)
+	if s.propagate(nil) && p.SolveContext(ctx).Status != Infeasible {
 		return nil
 	}
-	active := make([]bool, len(p.Constraints))
-	for i := range active {
-		active[i] = true
-	}
-	// Each deletion test uses bound propagation as a cheap sound oracle
-	// first; only propagation-inconclusive subsets pay for a simplex run.
-	stillInfeasible := func() bool {
-		rows := p.activeRows(active)
-		if !propagateBounds(rows, p.Lower, p.Upper, 50) {
-			return true
-		}
-		return p.solveRowsContext(ctx, rows).Status == Infeasible
-	}
+	return p.deletionFilter(ctx, s)
+}
+
+// deletionFilter is IISContext's deletion filter over the compiled rows s
+// of an infeasible p; the caller has already proved the infeasibility.
+func (p *Problem) deletionFilter(ctx context.Context, s *rowSet) []int {
+	active := allActive(len(p.Constraints))
 	for i := range p.Constraints {
 		if ctx.Err() != nil {
 			return nil
 		}
 		active[i] = false
-		if !stillInfeasible() {
+		// Bound propagation is a cheap sound oracle; only subsets it
+		// cannot refute pay for a simplex run.
+		if s.propagate(active) && p.solveRowsContext(ctx, p.activeRows(active)).Status != Infeasible {
 			active[i] = true // i is needed for infeasibility
 		}
 	}
-	var out []int
-	for i, a := range active {
-		if a {
-			out = append(out, i)
-		}
-	}
-	return out
+	return activeIndices(active)
 }
 
 // IISByPropagation computes an infeasible subset using only the bound
@@ -61,19 +52,69 @@ func (p *Problem) IISContext(ctx context.Context) []int {
 // leave propagation inconclusive are kept even if a simplex run could
 // discard them. Returns nil when propagation cannot refute the full set.
 func (p *Problem) IISByPropagation() []int {
-	if !p.RefutedByPropagation() {
+	return compileRows(p.Constraints, p.Lower, p.Upper).iisByPropagation()
+}
+
+func (s *rowSet) iisByPropagation() []int {
+	if s.propagate(nil) {
 		return nil
 	}
-	active := make([]bool, len(p.Constraints))
+	active := allActive(len(s.rows))
 	for i := range active {
-		active[i] = true
-	}
-	for i := range p.Constraints {
 		active[i] = false
-		if propagateBounds(p.activeRows(active), p.Lower, p.Upper, 50) {
+		if s.propagate(active) {
 			active[i] = true
 		}
 	}
+	return activeIndices(active)
+}
+
+// CheckContext decides the problem the way a lazy SMT engine's linear
+// layer needs it, compiling the rows once for every stage:
+//   - bound propagation first: when it refutes the rows, the
+//     propagation-only deletion filter minimises the conflict and no
+//     simplex runs at all (Result carries no pivots);
+//   - otherwise simplex, or branch-and-bound with maxNodes when integer
+//     variables are marked;
+//   - on Infeasible, the deletion filter of IISContext, without proving
+//     the infeasibility a second time.
+//
+// The returned subset is nil unless the Result is Infeasible. It is also
+// nil when ctx is cancelled during the filter and when the infeasibility is
+// integrality-driven (the relaxation is feasible, so no row subset of the
+// relaxation conflicts).
+func (p *Problem) CheckContext(ctx context.Context, maxNodes int) (Result, []int) {
+	s := compileRows(p.Constraints, p.Lower, p.Upper)
+	if iis := s.iisByPropagation(); iis != nil {
+		return Result{Status: Infeasible}, iis
+	}
+	var res Result
+	if len(p.Integer) > 0 {
+		res = p.SolveMIPContext(ctx, maxNodes).Result
+	} else {
+		res = p.SolveContext(ctx)
+	}
+	if res.Status != Infeasible {
+		return res, nil
+	}
+	// Propagation is known inconclusive here; without integer variables
+	// the simplex run above is exactly IISContext's proof. With them,
+	// the relaxation still has to be shown infeasible.
+	if len(p.Integer) > 0 && p.SolveContext(ctx).Status != Infeasible {
+		return res, nil
+	}
+	return res, p.deletionFilter(ctx, s)
+}
+
+func allActive(n int) []bool {
+	active := make([]bool, n)
+	for i := range active {
+		active[i] = true
+	}
+	return active
+}
+
+func activeIndices(active []bool) []int {
 	var out []int
 	for i, a := range active {
 		if a {

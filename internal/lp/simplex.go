@@ -36,7 +36,8 @@ type column struct {
 
 // tableau is a dense two-phase primal simplex tableau.
 type tableau struct {
-	p *Problem
+	p    *Problem
+	vars []string // p.Vars(), computed once
 
 	cols  []column
 	rows  [][]float64 // m × n coefficient matrix
@@ -58,91 +59,90 @@ type tableau struct {
 
 // newTableau converts p to standard form.
 func newTableau(p *Problem) *tableau {
-	t := &tableau{p: p}
+	vars := p.Vars()
+	t := &tableau{p: p, vars: vars}
 	t.maxIter = p.MaxIter
 	if t.maxIter == 0 {
-		t.maxIter = 20000 + 200*(len(p.Constraints)+len(p.Vars()))
+		t.maxIter = 20000 + 200*(len(p.Constraints)+len(vars))
 	}
 
-	vars := p.Vars()
-	colOf := map[string][]int{} // variable → column indices (1 or 2)
+	// colOf maps a variable to its column; a free variable's negative
+	// part is the column after it.
+	colOf := make(map[string]int, len(vars))
 
 	// Variable columns.
 	for _, v := range vars {
-		lo, hasLo := p.Lower[v]
-		hi, hasHi := p.Upper[v]
-		switch {
-		case hasLo:
-			idx := len(t.cols)
+		colOf[v] = len(t.cols)
+		if lo, hasLo := p.Lower[v]; hasLo {
+			// An upper bound too becomes a row below.
 			t.cols = append(t.cols, column{kind: colShifted, v: v, shift: lo})
-			colOf[v] = []int{idx}
-			_ = hi // upper bound becomes a row below
-		case hasHi:
-			idx := len(t.cols)
+		} else if hi, hasHi := p.Upper[v]; hasHi {
 			t.cols = append(t.cols, column{kind: colNegated, v: v, shift: hi})
-			colOf[v] = []int{idx}
-		default:
-			ip := len(t.cols)
-			t.cols = append(t.cols, column{kind: colPlus, v: v})
-			im := len(t.cols)
-			t.cols = append(t.cols, column{kind: colMinus, v: v})
-			colOf[v] = []int{ip, im}
+		} else {
+			t.cols = append(t.cols, column{kind: colPlus, v: v}, column{kind: colMinus, v: v})
 		}
 	}
 	nVarCols := len(t.cols)
 
-	// Helper translating a problem-space row (coeffs, rel, rhs) into a
-	// standard-form row over the variable columns.
-	type stdRow struct {
-		a   []float64
-		rel Rel
-		b   float64
+	// Problem-space rows become standard-form rows over the variable
+	// columns, kept sparse until the width of the tableau is known: each
+	// row's entries are terms[start:end], and b is its shifted RHS.
+	type entry struct {
+		col int
+		a   float64
 	}
+	type stdRow struct {
+		start, end int
+		rel        Rel
+		b          float64
+	}
+	var terms []entry
 	var rows []stdRow
-	addRow := func(coeffs map[string]float64, rel Rel, b float64) {
-		a := make([]float64, nVarCols)
-		// Sorted iteration: the b -= c*shift accumulation below is a
+	// addTerm appends c·v to the row being built and returns its RHS b
+	// moved across by the column's shift.
+	addTerm := func(v string, c, b float64) float64 {
+		j := colOf[v]
+		col := t.cols[j]
+		switch col.kind {
+		case colShifted:
+			terms = append(terms, entry{j, c})
+			b -= c * col.shift
+		case colNegated:
+			terms = append(terms, entry{j, -c})
+			b -= c * col.shift
+		case colPlus:
+			terms = append(terms, entry{j, c}, entry{j + 1, -c})
+		}
+		return b
+	}
+	var names []string
+	for _, c := range p.Constraints {
+		// Sorted iteration: the b -= c*shift accumulation is a
 		// floating-point sum, and map order would make the tableau RHS
 		// (hence pivots and the witness) vary between runs.
-		names := make([]string, 0, len(coeffs))
-		for v := range coeffs {
+		names = names[:0]
+		for v := range c.Coeffs {
 			names = append(names, v)
 		}
 		sort.Strings(names)
+		r := stdRow{start: len(terms), rel: c.Rel, b: c.RHS}
 		for _, v := range names {
-			c := coeffs[v]
-			if c == 0 {
-				continue
-			}
-			idxs, ok := colOf[v]
-			if !ok {
-				continue // variable exists only here with zero col set; cannot happen via Vars()
-			}
-			col := t.cols[idxs[0]]
-			switch col.kind {
-			case colShifted:
-				a[idxs[0]] += c
-				b -= c * col.shift
-			case colNegated:
-				a[idxs[0]] -= c
-				b -= c * col.shift
-			case colPlus:
-				a[idxs[0]] += c
-				a[idxs[1]] -= c
+			if a := c.Coeffs[v]; a != 0 {
+				r.b = addTerm(v, a, r.b)
 			}
 		}
-		rows = append(rows, stdRow{a: a, rel: rel, b: b})
-	}
-
-	for _, c := range p.Constraints {
-		addRow(c.Coeffs, c.Rel, c.RHS)
+		r.end = len(terms)
+		rows = append(rows, r)
 	}
 	// Upper bounds of doubly-bounded variables become rows.
 	for _, v := range vars {
 		_, hasLo := p.Lower[v]
 		hi, hasHi := p.Upper[v]
 		if hasLo && hasHi {
-			addRow(map[string]float64{v: 1}, LE, hi)
+			r := stdRow{start: len(terms), rel: LE}
+			r.b = addTerm(v, 1, hi)
+			r.end = len(terms)
+			rows = append(rows, r)
 		}
 	}
 
@@ -154,26 +154,22 @@ func newTableau(p *Problem) *tableau {
 	type pending struct {
 		slack int // column index or -1
 		art   int
+		neg   bool // the row was negated to make b ≥ 0
 	}
 	pend := make([]pending, m)
 	for i, r := range rows {
-		a, rel, b := r.a, r.rel, r.b
-		if b < 0 {
-			for j := range a {
-				a[j] = -a[j]
-			}
-			b = -b
-			switch rel {
+		pend[i] = pending{slack: -1, art: -1}
+		if r.b < 0 {
+			pend[i].neg = true
+			rows[i].b = -r.b
+			switch r.rel {
 			case LE:
-				rel = GE
+				rows[i].rel = GE
 			case GE:
-				rel = LE
+				rows[i].rel = LE
 			}
 		}
-		t.rows[i] = a
-		t.rhs[i] = b
-		pend[i] = pending{slack: -1, art: -1}
-		switch rel {
+		switch rows[i].rel {
 		case LE:
 			pend[i].slack = t.appendCol(column{kind: colSlack})
 		case GE:
@@ -182,26 +178,32 @@ func newTableau(p *Problem) *tableau {
 		case EQ:
 			pend[i].art = t.appendCol(column{kind: colArtificial})
 		}
-		_ = rel
-		rows[i].rel = rel
 	}
 	n := len(t.cols)
-	for i := range t.rows {
-		a := t.rows[i]
-		grown := make([]float64, n)
-		copy(grown, a)
-		t.rows[i] = grown
-		switch rows[i].rel {
+	dense := make([]float64, m*n)
+	for i, r := range rows {
+		row := dense[i*n : (i+1)*n : (i+1)*n]
+		for _, e := range terms[r.start:r.end] {
+			row[e.col] = e.a
+		}
+		if pend[i].neg {
+			for j := 0; j < nVarCols; j++ {
+				row[j] = -row[j]
+			}
+		}
+		t.rows[i] = row
+		t.rhs[i] = r.b
+		switch r.rel {
 		case LE:
-			grown[pend[i].slack] = 1
+			row[pend[i].slack] = 1
 			t.basis[i] = pend[i].slack
 		case GE:
-			grown[pend[i].slack] = -1
-			grown[pend[i].art] = 1
+			row[pend[i].slack] = -1
+			row[pend[i].art] = 1
 			t.basis[i] = pend[i].art
 			t.nArtificial++
 		case EQ:
-			grown[pend[i].art] = 1
+			row[pend[i].art] = 1
 			t.basis[i] = pend[i].art
 			t.nArtificial++
 		}
@@ -211,19 +213,18 @@ func newTableau(p *Problem) *tableau {
 	t.cost = make([]float64, n)
 	if p.Objective != nil {
 		for v, c := range p.Objective {
-			idxs, ok := colOf[v]
+			j, ok := colOf[v]
 			if !ok {
 				continue
 			}
-			col := t.cols[idxs[0]]
-			switch col.kind {
+			switch t.cols[j].kind {
 			case colShifted:
-				t.cost[idxs[0]] += c
+				t.cost[j] += c
 			case colNegated:
-				t.cost[idxs[0]] -= c
+				t.cost[j] -= c
 			case colPlus:
-				t.cost[idxs[0]] += c
-				t.cost[idxs[1]] -= c
+				t.cost[j] += c
+				t.cost[j+1] -= c
 			}
 		}
 	}
@@ -419,7 +420,7 @@ func (t *tableau) run() Result {
 		}
 	}
 	// Ensure every problem variable is present.
-	for _, v := range t.p.Vars() {
+	for _, v := range t.vars {
 		if _, ok := x[v]; !ok {
 			x[v] = 0
 			if lo, has := t.p.Lower[v]; has && lo > 0 {

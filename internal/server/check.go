@@ -103,24 +103,7 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		},
 	}
 
-	s.mu.Lock()
-	if !s.started || s.draining {
-		s.mu.Unlock()
-		s.metrics.reject(rejectDraining)
-		w.Header().Set("Retry-After", s.retryAfterHint(true))
-		writeError(w, http.StatusServiceUnavailable, api.ExitUnknown, "server is draining")
-		return
-	}
-	select {
-	case s.queue <- j:
-		s.jobs.Add(1)
-		s.mu.Unlock()
-	default:
-		s.mu.Unlock()
-		s.metrics.reject(rejectQueueFull)
-		w.Header().Set("Retry-After", s.retryAfterHint(false))
-		writeError(w, http.StatusTooManyRequests, api.ExitUnknown,
-			"queue full (%d workers busy, %d queued)", s.cfg.Workers, cap(s.queue))
+	if !s.admit(w, j) {
 		return
 	}
 

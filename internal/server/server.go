@@ -282,6 +282,37 @@ func (s *Server) retryAfterHint(draining bool) string {
 	return strconv.Itoa(secs)
 }
 
+// admit puts j on the job queue and reports true. Otherwise it answers
+// the request itself, 503 while the server drains or 429 when the queue
+// is full, and reports false. The mutex closes the race against Shutdown:
+// no job is admitted after draining is set. The non-blocking send
+// implements the bounded queue. jobs.Add comes before the send, because a
+// worker can finish the job and call jobs.Done before the send returns.
+func (s *Server) admit(w http.ResponseWriter, j *job) bool {
+	s.mu.Lock()
+	if !s.started || s.draining {
+		s.mu.Unlock()
+		s.metrics.reject(rejectDraining)
+		w.Header().Set("Retry-After", s.retryAfterHint(true))
+		writeError(w, http.StatusServiceUnavailable, api.ExitUnknown, "server is draining")
+		return false
+	}
+	s.jobs.Add(1)
+	select {
+	case s.queue <- j:
+		s.mu.Unlock()
+		return true
+	default:
+		s.jobs.Done()
+		s.mu.Unlock()
+		s.metrics.reject(rejectQueueFull)
+		w.Header().Set("Retry-After", s.retryAfterHint(false))
+		writeError(w, http.StatusTooManyRequests, api.ExitUnknown,
+			"queue full (%d workers busy, %d queued)", s.cfg.Workers, cap(s.queue))
+		return false
+	}
+}
+
 func (s *Server) runJob(j *job) {
 	defer s.jobs.Done()
 	s.busy.Add(1)
@@ -554,27 +585,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		j.events = make(chan core.Event, 64)
 	}
 
-	// Admission: the mutex closes the race against Shutdown (no job is
-	// admitted after draining is set), the non-blocking send implements
-	// the bounded queue.
-	s.mu.Lock()
-	if !s.started || s.draining {
-		s.mu.Unlock()
-		s.metrics.reject(rejectDraining)
-		w.Header().Set("Retry-After", s.retryAfterHint(true))
-		writeError(w, http.StatusServiceUnavailable, api.ExitUnknown, "server is draining")
-		return
-	}
-	select {
-	case s.queue <- j:
-		s.jobs.Add(1)
-		s.mu.Unlock()
-	default:
-		s.mu.Unlock()
-		s.metrics.reject(rejectQueueFull)
-		w.Header().Set("Retry-After", s.retryAfterHint(false))
-		writeError(w, http.StatusTooManyRequests, api.ExitUnknown,
-			"queue full (%d workers busy, %d queued)", s.cfg.Workers, cap(s.queue))
+	if !s.admit(w, j) {
 		return
 	}
 
