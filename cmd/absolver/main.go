@@ -31,21 +31,15 @@
 //	                the nondeterminism caveats)
 //	-no-share       disable cross-engine lemma sharing in a portfolio race
 //	-timeout D      give up after duration D (e.g. 30s), exit 20
-//	-restart        restart the Boolean solver on every iteration (the
-//	                paper's external-combination mode)
-//	-no-iis         disable smallest-conflicting-subset refinement
-//	-no-lemmas      disable static theory-lemma grounding
-//	-no-cache       disable the theory-verdict cache
-//	-no-polyar      disable the PolyAR abstraction-refinement fallback
-//	                for nonlinear checks the penalty solver leaves
-//	                undecided (docs/nonlinear.md)
+//	-restart, -no-iis, ...
+//	                the engine's on/off knobs, one flag per core.Knobs
+//	                entry (absolver -h lists them)
 //	-stats          print engine statistics
 //	-q              verdict only
 //	-v              trace engine iterations to stderr
 //
-// The per-engine knobs (-restart, -no-iis, -no-lemmas, -no-cache,
-// -no-polyar) compose with -portfolio: each is applied on top of every
-// racing strategy's own configuration. -all does not compose with -portfolio and is rejected.
+// The knob flags compose with -portfolio: each is applied on top of
+// every racing strategy's own configuration. -all does not compose with -portfolio and is rejected.
 // -batch runs a single warm session and is single-strategy by design:
 // -portfolio, -all, and -restart are all rejected alongside it (a restart
 // or a race would discard exactly the state the session exists to keep).
@@ -100,12 +94,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	nPortfolio := fs.Int("portfolio", 0, "race N engine configurations; first definitive verdict wins (0 = single engine)")
 	noShare := fs.Bool("no-share", false, "disable cross-engine lemma sharing in a portfolio race")
 	timeout := fs.Duration("timeout", 0, "give up after this long (0 = none)")
-	restart := fs.Bool("restart", false, "restart the Boolean solver per iteration")
-	noIIS := fs.Bool("no-iis", false, "disable conflict-set minimisation")
-	noLemmas := fs.Bool("no-lemmas", false, "disable theory-lemma grounding")
-	noCache := fs.Bool("no-cache", false, "disable the theory-verdict cache")
-	noInpro := fs.Bool("no-inprocess", false, "disable SAT inprocessing (subsumption, failed-literal probing)")
-	noPolyAR := fs.Bool("no-polyar", false, "disable the PolyAR abstraction-refinement fallback for undecided nonlinear checks")
+	cfg := knobFlags(fs)
 	stats := fs.Bool("stats", false, "print statistics")
 	quiet := fs.Bool("q", false, "print the verdict only")
 	verbose := fs.Bool("v", false, "trace engine iterations")
@@ -137,7 +126,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		case *all:
 			fmt.Fprintln(stderr, "absolver: -batch and -all are mutually exclusive")
 			return exitUsage
-		case *restart:
+		case cfg.RestartBoolean:
 			fmt.Fprintln(stderr, "absolver: -batch and -restart are mutually exclusive (a restart discards the session state)")
 			return exitUsage
 		}
@@ -158,27 +147,19 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return exitUsage
 	}
 
-	cfg := absolver.Config{
-		RestartBoolean: *restart,
-		NoIIS:          *noIIS,
-		NoGroundLemmas: *noLemmas,
-		NoTheoryCache:  *noCache,
-		NoInprocess:    *noInpro,
-		NoPolyAR:       *noPolyAR,
-		Timeout:        *timeout,
-	}
+	cfg.Timeout = *timeout
 	if *verbose {
 		cfg.Trace = absolver.WriterTrace(stderr)
 	}
 
 	if *nPortfolio > 0 {
-		return runPortfolio(p, cfg, *nPortfolio, *timeout, *noShare, *quiet, *stats, stdout, stderr)
+		return runPortfolio(p, *cfg, *nPortfolio, *timeout, *noShare, *quiet, *stats, stdout, stderr)
 	}
 	if *batchFile != "" {
-		return runBatchFile(p, cfg, *batchFile, *quiet, *stats, stdout, stderr)
+		return runBatchFile(p, *cfg, *batchFile, *quiet, *stats, stdout, stderr)
 	}
 
-	eng := absolver.NewEngine(p, cfg)
+	eng := absolver.NewEngine(p, *cfg)
 	exit := exitUnknown
 	if *all {
 		n, status, err := eng.AllModels(nil, *max, func(m absolver.Model) error {
@@ -213,6 +194,16 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		printStats(stdout, eng.Stats())
 	}
 	return exit
+}
+
+// knobFlags registers one flag per core.Knobs entry on fs ("no_iis"
+// becomes -no-iis), each setting its switch in the returned Config.
+func knobFlags(fs *flag.FlagSet) *absolver.Config {
+	cfg := new(absolver.Config)
+	for _, kn := range core.Knobs {
+		fs.BoolVar(kn.Field(cfg), strings.ReplaceAll(kn.Name, "_", "-"), false, kn.Usage)
+	}
+	return cfg
 }
 
 // runBatchFile solves an NDJSON file of instance deltas incrementally over
@@ -311,23 +302,6 @@ func runBatchFile(p *absolver.Problem, cfg absolver.Config, path string, quiet, 
 	}
 }
 
-// composeStrategies applies the command line's per-engine knobs on top of
-// every strategy's own configuration. Each knob only ever *adds* its
-// restriction (logical OR): a strategy that already restarts, skips IIS,
-// or skips grounding keeps doing so even when the corresponding flag is
-// absent — assigning the flag value outright would silently strip the
-// "restart" strategy of its defining behaviour.
-func composeStrategies(strategies []absolver.Strategy, base absolver.Config) {
-	for i := range strategies {
-		strategies[i].Config.RestartBoolean = strategies[i].Config.RestartBoolean || base.RestartBoolean
-		strategies[i].Config.NoIIS = strategies[i].Config.NoIIS || base.NoIIS
-		strategies[i].Config.NoGroundLemmas = strategies[i].Config.NoGroundLemmas || base.NoGroundLemmas
-		strategies[i].Config.NoTheoryCache = strategies[i].Config.NoTheoryCache || base.NoTheoryCache
-		strategies[i].Config.NoInprocess = strategies[i].Config.NoInprocess || base.NoInprocess
-		strategies[i].Config.NoPolyAR = strategies[i].Config.NoPolyAR || base.NoPolyAR
-	}
-}
-
 // runPortfolio races n default strategies and reports the adopted verdict.
 func runPortfolio(p *absolver.Problem, base absolver.Config, n int, timeout time.Duration, noShare, quiet, stats bool, stdout, stderr io.Writer) int {
 	ctx := context.Background()
@@ -338,8 +312,10 @@ func runPortfolio(p *absolver.Problem, base absolver.Config, n int, timeout time
 	}
 	strategies := absolver.DefaultStrategies(n)
 	// The trace stays on the single-engine path (N interleaved engine
-	// traces are not readable); every other per-engine knob composes.
-	composeStrategies(strategies, base)
+	// traces are not readable); every per-engine knob composes.
+	for i := range strategies {
+		strategies[i].Config = strategies[i].Config.WithKnobs(base.KnobSet())
+	}
 	out := absolver.PortfolioSolveWith(ctx, p, strategies, portfolio.Options{NoShare: noShare})
 	if out.Err != nil && !errors.Is(out.Err, context.DeadlineExceeded) {
 		fmt.Fprintln(stderr, "absolver:", out.Err)
@@ -374,19 +350,33 @@ func printVerdict(w io.Writer, res absolver.Result, quiet bool) int {
 	}
 }
 
+// statsGroups are the counter-name prefixes -stats prints on a line of
+// their own ("c lemmas: published=… imported=…"), after one line of every
+// other counter and before the phases' "c time:" line.
+var statsGroups = []string{"lemmas", "theory_cache", "nlp", "polyar"}
+
+// printStats prints every core.StatCounters and core.StatPhases entry.
 func printStats(w io.Writer, st core.Stats) {
-	fmt.Fprintf(w, "c iterations=%d linear-checks=%d nonlinear-checks=%d conflicts=%d ne-splits=%d\n",
-		st.Iterations, st.LinearChecks, st.NonlinearChecks, st.ConflictClauses, st.NESplits)
-	fmt.Fprintf(w, "c lemmas: published=%d imported=%d deduped=%d\n",
-		st.LemmasPublished, st.LemmasImported, st.LemmasDeduped)
-	fmt.Fprintf(w, "c theory-cache: hits=%d misses=%d\n",
-		st.TheoryCacheHits, st.TheoryCacheMisses)
-	fmt.Fprintf(w, "c sat-inprocess: subsumed=%d probes=%d compactions=%d\n",
-		st.ClausesSubsumed, st.ProbedLiterals, st.ArenaCompactions)
-	fmt.Fprintf(w, "c polyar: regions=%d pruned=%d witnesses=%d rescued=%d/%d undecided\n",
-		st.PolyARRegions, st.PolyARPruned, st.PolyARWitnesses, st.NLPUnknownRescued, st.NLPUnknown)
-	fmt.Fprintf(w, "c time: bool=%v linear=%v nonlinear=%v wall=%v\n",
-		st.BoolTime, st.LinearTime, st.NonlinearTime, st.WallTime)
+	lines := map[string]string{}
+	for _, c := range core.StatCounters {
+		group, key := "", c.Name
+		for _, g := range statsGroups {
+			if rest, ok := strings.CutPrefix(c.Name, g+"_"); ok {
+				group, key = g, rest
+				break
+			}
+		}
+		lines[group] += fmt.Sprintf(" %s=%d", key, *c.Field(&st))
+	}
+	fmt.Fprintf(w, "c%s\n", lines[""])
+	for _, g := range statsGroups {
+		fmt.Fprintf(w, "c %s:%s\n", strings.ReplaceAll(g, "_", "-"), lines[g])
+	}
+	fmt.Fprint(w, "c time:")
+	for _, p := range core.StatPhases {
+		fmt.Fprintf(w, " %s=%v", p.Name, *p.Field(&st))
+	}
+	fmt.Fprintln(w)
 }
 
 func printModel(w io.Writer, m absolver.Model, quiet bool) {

@@ -2,12 +2,15 @@ package main
 
 import (
 	"bytes"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"absolver"
+	"absolver/internal/core"
 )
 
 // satInput: (v1 ∨ v2) with v1 bound to x >= 1 — satisfiable.
@@ -107,7 +110,9 @@ func TestComposeStrategiesOR(t *testing.T) {
 	}
 
 	// No flags set: every strategy keeps its own configuration.
-	composeStrategies(strategies, absolver.Config{})
+	for i := range strategies {
+		strategies[i].Config = strategies[i].Config.WithKnobs(absolver.Config{}.KnobSet())
+	}
 	if !strategies[restartIdx].Config.RestartBoolean {
 		t.Fatal("composition with zero base stripped the restart strategy's RestartBoolean")
 	}
@@ -116,13 +121,79 @@ func TestComposeStrategiesOR(t *testing.T) {
 	}
 
 	// All flags set: every strategy gains every restriction, keeping its own.
-	composeStrategies(strategies, absolver.Config{
+	base := absolver.Config{
 		RestartBoolean: true, NoIIS: true, NoGroundLemmas: true, NoTheoryCache: true,
-	})
+	}
+	for i := range strategies {
+		strategies[i].Config = strategies[i].Config.WithKnobs(base.KnobSet())
+	}
 	for _, s := range strategies {
 		if !s.Config.RestartBoolean || !s.Config.NoIIS || !s.Config.NoGroundLemmas || !s.Config.NoTheoryCache {
 			t.Fatalf("strategy %q did not receive all composed knobs: %+v", s.Name, s.Config)
 		}
+	}
+
+	// Each knob alone reaches every strategy, and no strategy loses its own.
+	for _, kn := range core.Knobs {
+		var base absolver.Config
+		*kn.Field(&base) = true
+		for _, s := range absolver.DefaultStrategies(6) {
+			own := s.Config.KnobSet()
+			s.Config = s.Config.WithKnobs(base.KnobSet())
+			if !*kn.Field(&s.Config) {
+				t.Errorf("knob %s did not reach strategy %q", kn.Name, s.Name)
+			}
+			if got := s.Config.KnobSet(); got&own != own {
+				t.Errorf("knob %s stripped strategy %q of its own knobs: %b -> %b", kn.Name, s.Name, own, got)
+			}
+		}
+	}
+}
+
+// TestCLIKnobFlags checks that every core.Knobs entry is a CLI flag that
+// sets exactly its own Config switch, and that the two flags the table
+// added, -no-inprocess and -check-models, run end to end: on a pigeonhole
+// instance the probes the SAT core runs by default drop to zero.
+func TestCLIKnobFlags(t *testing.T) {
+	for i, kn := range core.Knobs {
+		fs := flag.NewFlagSet("absolver", flag.ContinueOnError)
+		cfg := knobFlags(fs)
+		flagName := "-" + strings.ReplaceAll(kn.Name, "_", "-")
+		if err := fs.Parse([]string{flagName}); err != nil {
+			t.Fatalf("%s: %v", flagName, err)
+		}
+		if got := cfg.KnobSet(); got != 1<<i {
+			t.Errorf("%s set knobs %b, want only %s", flagName, got, kn.Name)
+		}
+	}
+
+	// PHP(6,5): six pigeons, five holes.
+	var php strings.Builder
+	v := func(p, h int) int { return p*5 + h + 1 }
+	fmt.Fprintf(&php, "p cnf 30 81\n")
+	for p := 0; p < 6; p++ {
+		fmt.Fprintf(&php, "%d %d %d %d %d 0\n", v(p, 0), v(p, 1), v(p, 2), v(p, 3), v(p, 4))
+	}
+	for h := 0; h < 5; h++ {
+		for p := 0; p < 6; p++ {
+			for q := p + 1; q < 6; q++ {
+				fmt.Fprintf(&php, "-%d -%d 0\n", v(p, h), v(q, h))
+			}
+		}
+	}
+	code, out, errOut := runCLI(t, php.String(), "-stats", "-q")
+	if code != exitUnsat || strings.Contains(out, " probed_literals=0 ") {
+		t.Fatalf("default run: code=%d, want %d with probes run:\n%s%s", code, exitUnsat, out, errOut)
+	}
+	code, out, errOut = runCLI(t, php.String(), "-stats", "-q", "-no-inprocess", "-check-models")
+	if code != exitUnsat || !strings.Contains(out, " probed_literals=0 ") {
+		t.Fatalf("-no-inprocess -check-models: code=%d, want %d with no probes:\n%s%s", code, exitUnsat, out, errOut)
+	}
+	if code, _, errOut := runCLI(t, satInput, "-no-inprocess", "-check-models"); code != exitSat {
+		t.Fatalf("sat with -no-inprocess -check-models: code=%d stderr=%q", code, errOut)
+	}
+	if code, _, errOut := runCLI(t, unsatInput, "-portfolio", "2", "-no-inprocess", "-check-models"); code != exitUnsat {
+		t.Fatalf("portfolio unsat with -no-inprocess -check-models: code=%d stderr=%q", code, errOut)
 	}
 }
 

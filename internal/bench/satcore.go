@@ -118,9 +118,9 @@ func RunSATCore(maxFischer int, timeout time.Duration, baseline []JSONRow) ([]SA
 				row.Off = cell
 			} else {
 				row.On = cell
-				row.Subsumed = res.Stats.ClausesSubsumed
-				row.Probes = res.Stats.ProbedLiterals
-				row.Compactions = res.Stats.ArenaCompactions
+				row.Subsumed = int64(res.Stats.ClausesSubsumed)
+				row.Probes = int64(res.Stats.ProbedLiterals)
+				row.Compactions = int64(res.Stats.ArenaCompactions)
 			}
 		}
 		if row.On.Note == "" && row.Off.Note == "" && row.On.Status != row.Off.Status {

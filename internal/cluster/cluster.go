@@ -344,7 +344,7 @@ func (co *Coordinator) dispatchLoop(ctx context.Context, r *round, queue chan *t
 		resp, err := co.clients[peer].Solve(ctx, t.body, wparams)
 		verdict, satRes, reason, retryable := classify(resp, err)
 		if resp != nil {
-			r.addStats(resp.Stats.ToCore())
+			r.addStats(core.Stats(resp.Stats))
 		}
 		co.logf("cluster: job=%s cube=%d attempt=%d peer=%d verdict=%s err=%v", jobID, t.index, t.attempts, peer, verdict, err)
 
@@ -415,7 +415,7 @@ func classify(resp *api.SolveResponse, err error) (verdict string, satRes *core.
 	if err == nil {
 		switch resp.Status {
 		case core.StatusSat.String():
-			res := &core.Result{Status: core.StatusSat, Stats: resp.Stats.ToCore()}
+			res := &core.Result{Status: core.StatusSat, Stats: core.Stats(resp.Stats)}
 			if resp.Model != nil {
 				res.Model = &core.Model{Bool: resp.Model.Bool, Real: expr.Env(resp.Model.Real)}
 			}

@@ -121,6 +121,58 @@ type Config struct {
 	PolyAR polyar.Options
 }
 
+// Knob is one on/off ablation switch of Config.
+type Knob struct {
+	// Name is the knob's wire name: the absolverd query parameter. The
+	// absolver CLI flag is the same name with '-' for '_'.
+	Name string
+	// Usage is the one-line help text of the CLI flag.
+	Usage string
+	// Field returns the knob's switch inside c.
+	Field func(c *Config) *bool
+}
+
+// Knobs lists every on/off switch of Config. The CLI flags, the absolverd
+// query parameters and the OR-composition onto portfolio strategies
+// (WithKnobs) all loop over it, so a new knob is one Config field plus one
+// line here.
+var Knobs = []Knob{
+	{"restart", "restart the Boolean solver per iteration", func(c *Config) *bool { return &c.RestartBoolean }},
+	{"no_iis", "disable conflict-set minimisation", func(c *Config) *bool { return &c.NoIIS }},
+	{"no_lemmas", "disable theory-lemma grounding", func(c *Config) *bool { return &c.NoGroundLemmas }},
+	{"no_cache", "disable the theory-verdict cache", func(c *Config) *bool { return &c.NoTheoryCache }},
+	{"no_inprocess", "disable SAT inprocessing (subsumption, failed-literal probing)", func(c *Config) *bool { return &c.NoInprocess }},
+	{"no_polyar", "disable the PolyAR abstraction-refinement fallback for undecided nonlinear checks", func(c *Config) *bool { return &c.NoPolyAR }},
+	{"check_models", "re-certify every SAT model before reporting it", func(c *Config) *bool { return &c.CheckModels }},
+}
+
+// KnobSet is a set of Knobs entries, bit i standing for Knobs[i]. Unlike
+// Config it is comparable, so request parameters can carry it by value.
+type KnobSet uint32
+
+// KnobSet returns the set of knobs c switches on.
+func (c Config) KnobSet() KnobSet {
+	var k KnobSet
+	for i, kn := range Knobs {
+		if *kn.Field(&c) {
+			k |= 1 << i
+		}
+	}
+	return k
+}
+
+// WithKnobs returns c with every knob in k switched on as well. Knobs only
+// ever add their restriction (logical OR): a portfolio strategy defined by
+// a knob, such as "restart", keeps it when k lacks that knob.
+func (c Config) WithKnobs(k KnobSet) Config {
+	for i, kn := range Knobs {
+		if k&(1<<i) != 0 {
+			*kn.Field(&c) = true
+		}
+	}
+	return c
+}
+
 // EventKind classifies an engine trace event.
 type EventKind int
 
@@ -270,9 +322,9 @@ type Stats struct {
 	// They are snapshots of the Boolean solver's cumulative counters taken
 	// after each Boolean query, so within one engine they are totals, and
 	// Merge sums them across engines like every other counter.
-	ClausesSubsumed  int64
-	ProbedLiterals   int64
-	ArenaCompactions int64
+	ClausesSubsumed  int
+	ProbedLiterals   int
+	ArenaCompactions int
 	// NLPUnknown counts theory checks the penalty-descent/HC4 nonlinear
 	// solver left undecided (no verified witness, no refutation) — the
 	// engine's only unknown-prone verdict source and the denominator of
@@ -297,68 +349,90 @@ type Stats struct {
 	WallTime time.Duration
 }
 
+// StatField names one field of Stats: an int counter or a time.Duration
+// phase.
+type StatField[T int | time.Duration] struct {
+	// Name is the stable snake_case key. A counter appears under it in
+	// Counters, the JSON API, /metrics (absolverd_engine_<name>_total) and
+	// -stats; a phase as <name>_ms in the JSON API and as
+	// absolverd_engine_<name>_seconds_total in /metrics.
+	Name string
+	// Field returns the field inside s.
+	Field func(s *Stats) *T
+}
+
+// StatCounters and StatPhases name every field of Stats. Merge, the
+// session delta, Counters, Phases, the JSON API, /metrics and -stats all
+// loop over them, so a new counter is one Stats field plus one line here.
+var (
+	StatCounters = []StatField[int]{
+		{"iterations", func(s *Stats) *int { return &s.Iterations }},
+		{"linear_checks", func(s *Stats) *int { return &s.LinearChecks }},
+		{"nonlinear_checks", func(s *Stats) *int { return &s.NonlinearChecks }},
+		{"conflict_clauses", func(s *Stats) *int { return &s.ConflictClauses }},
+		{"lossy_blocks", func(s *Stats) *int { return &s.LossyBlocks }},
+		{"ne_splits", func(s *Stats) *int { return &s.NESplits }},
+		{"lemmas_published", func(s *Stats) *int { return &s.LemmasPublished }},
+		{"lemmas_imported", func(s *Stats) *int { return &s.LemmasImported }},
+		{"lemmas_deduped", func(s *Stats) *int { return &s.LemmasDeduped }},
+		{"theory_cache_hits", func(s *Stats) *int { return &s.TheoryCacheHits }},
+		{"theory_cache_misses", func(s *Stats) *int { return &s.TheoryCacheMisses }},
+		{"session_solves", func(s *Stats) *int { return &s.SessionSolves }},
+		{"clauses_subsumed", func(s *Stats) *int { return &s.ClausesSubsumed }},
+		{"probed_literals", func(s *Stats) *int { return &s.ProbedLiterals }},
+		{"arena_compactions", func(s *Stats) *int { return &s.ArenaCompactions }},
+		{"nlp_unknown", func(s *Stats) *int { return &s.NLPUnknown }},
+		{"nlp_unknown_rescued", func(s *Stats) *int { return &s.NLPUnknownRescued }},
+		{"polyar_regions", func(s *Stats) *int { return &s.PolyARRegions }},
+		{"polyar_pruned", func(s *Stats) *int { return &s.PolyARPruned }},
+		{"polyar_witnesses", func(s *Stats) *int { return &s.PolyARWitnesses }},
+	}
+	StatPhases = []StatField[time.Duration]{
+		{"bool", func(s *Stats) *time.Duration { return &s.BoolTime }},
+		{"linear", func(s *Stats) *time.Duration { return &s.LinearTime }},
+		{"nonlinear", func(s *Stats) *time.Duration { return &s.NonlinearTime }},
+		{"wall", func(s *Stats) *time.Duration { return &s.WallTime }},
+	}
+)
+
 // Merge accumulates o into s, summing every counter and duration. It is
 // how a portfolio run aggregates per-engine statistics: each engine
 // goroutine owns its Stats exclusively while solving, and Merge is called
 // only after that engine has delivered its result over a channel, so the
 // aggregation is race-free by construction (happens-before via channel
 // receive) without any locking in the hot solving paths.
-func (s *Stats) Merge(o Stats) {
-	s.Iterations += o.Iterations
-	s.LinearChecks += o.LinearChecks
-	s.NonlinearChecks += o.NonlinearChecks
-	s.ConflictClauses += o.ConflictClauses
-	s.LossyBlocks += o.LossyBlocks
-	s.NESplits += o.NESplits
-	s.LemmasPublished += o.LemmasPublished
-	s.LemmasImported += o.LemmasImported
-	s.LemmasDeduped += o.LemmasDeduped
-	s.TheoryCacheHits += o.TheoryCacheHits
-	s.TheoryCacheMisses += o.TheoryCacheMisses
-	s.SessionSolves += o.SessionSolves
-	s.ClausesSubsumed += o.ClausesSubsumed
-	s.ProbedLiterals += o.ProbedLiterals
-	s.ArenaCompactions += o.ArenaCompactions
-	s.NLPUnknown += o.NLPUnknown
-	s.NLPUnknownRescued += o.NLPUnknownRescued
-	s.PolyARRegions += o.PolyARRegions
-	s.PolyARPruned += o.PolyARPruned
-	s.PolyARWitnesses += o.PolyARWitnesses
-	s.BoolTime += o.BoolTime
-	s.LinearTime += o.LinearTime
-	s.NonlinearTime += o.NonlinearTime
-	s.WallTime += o.WallTime
+func (s *Stats) Merge(o Stats) { s.add(&o, 1) }
+
+// add adds sign·o to s, entry by entry.
+func (s *Stats) add(o *Stats, sign int) {
+	for _, c := range StatCounters {
+		*c.Field(s) += sign * *c.Field(o)
+	}
+	for _, p := range StatPhases {
+		*p.Field(s) += time.Duration(sign) * *p.Field(o)
+	}
 }
 
-// Counters returns the stats' integer counters keyed by stable snake_case
-// names — the aggregation hook for exporters (the absolverd /metrics
-// endpoint renders these as Prometheus counters). The key set is fixed:
-// every counter appears even when zero, so exporters emit a stable series
-// set. Durations are excluded; exporters derive timing series from the
-// *Time fields directly.
+// Counters returns the stats' integer counters keyed by their
+// StatCounters names — the aggregation hook for exporters (the absolverd
+// /metrics endpoint renders these as Prometheus counters). The key set is
+// fixed: every counter appears even when zero, so exporters emit a stable
+// series set. Durations are in Phases.
 func (s Stats) Counters() map[string]int64 {
-	return map[string]int64{
-		"iterations":          int64(s.Iterations),
-		"linear_checks":       int64(s.LinearChecks),
-		"nonlinear_checks":    int64(s.NonlinearChecks),
-		"conflict_clauses":    int64(s.ConflictClauses),
-		"lossy_blocks":        int64(s.LossyBlocks),
-		"ne_splits":           int64(s.NESplits),
-		"lemmas_published":    int64(s.LemmasPublished),
-		"lemmas_imported":     int64(s.LemmasImported),
-		"lemmas_deduped":      int64(s.LemmasDeduped),
-		"theory_cache_hits":   int64(s.TheoryCacheHits),
-		"theory_cache_misses": int64(s.TheoryCacheMisses),
-		"session_solves":      int64(s.SessionSolves),
-		"clauses_subsumed":    s.ClausesSubsumed,
-		"probed_literals":     s.ProbedLiterals,
-		"arena_compactions":   s.ArenaCompactions,
-		"nlp_unknown":         int64(s.NLPUnknown),
-		"nlp_unknown_rescued": int64(s.NLPUnknownRescued),
-		"polyar_regions":      int64(s.PolyARRegions),
-		"polyar_pruned":       int64(s.PolyARPruned),
-		"polyar_witnesses":    int64(s.PolyARWitnesses),
+	m := make(map[string]int64, len(StatCounters))
+	for _, c := range StatCounters {
+		m[c.Name] = int64(*c.Field(&s))
 	}
+	return m
+}
+
+// Phases returns the stats' durations keyed by their StatPhases names.
+func (s Stats) Phases() map[string]time.Duration {
+	m := make(map[string]time.Duration, len(StatPhases))
+	for _, p := range StatPhases {
+		m[p.Name] = *p.Field(&s)
+	}
+	return m
 }
 
 // Result is the outcome of Solve.
@@ -704,12 +778,12 @@ func (e *Engine) captureSatStats() {
 		return
 	}
 	st := ss.Stats()
-	dSub := st.ClausesSubsumed - e.st.ClausesSubsumed
-	dProbe := st.ProbedLiterals - e.st.ProbedLiterals
-	dComp := st.ArenaCompactions - e.st.ArenaCompactions
-	e.st.ClausesSubsumed = st.ClausesSubsumed
-	e.st.ProbedLiterals = st.ProbedLiterals
-	e.st.ArenaCompactions = st.ArenaCompactions
+	dSub := st.ClausesSubsumed - int64(e.st.ClausesSubsumed)
+	dProbe := st.ProbedLiterals - int64(e.st.ProbedLiterals)
+	dComp := st.ArenaCompactions - int64(e.st.ArenaCompactions)
+	e.st.ClausesSubsumed = int(st.ClausesSubsumed)
+	e.st.ProbedLiterals = int(st.ProbedLiterals)
+	e.st.ArenaCompactions = int(st.ArenaCompactions)
 	if e.cfg.Trace != nil && (dSub > 0 || dProbe > 0 || dComp > 0) {
 		e.cfg.Trace(Event{
 			Iteration:   e.st.Iterations,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"absolver/internal/expr"
 )
@@ -511,5 +512,64 @@ func TestStatsCounters(t *testing.T) {
 	c := a.Counters()
 	if c["iterations"] != 7 || c["linear_checks"] != 2 || c["theory_cache_hits"] != 5 || c["lemmas_imported"] != 1 || c["session_solves"] != 3 || c["clauses_subsumed"] != 6 || c["arena_compactions"] != 1 {
 		t.Fatalf("merged counters wrong: %v", c)
+	}
+
+	// Every table entry, not just the named ones: Merge sums it, the
+	// session delta subtracts it, and Counters/Phases report it.
+	var x, y Stats
+	for i, c := range StatCounters {
+		*c.Field(&x) = 100 + i
+		*c.Field(&y) = 10 + 3*i
+	}
+	for i, p := range StatPhases {
+		*p.Field(&x) = time.Duration(1000 + i)
+		*p.Field(&y) = time.Duration(20 + 7*i)
+	}
+	sum := x
+	sum.Merge(y)
+	delta := statsDelta(x, y)
+	counters, phases := sum.Counters(), sum.Phases()
+	if len(phases) != len(StatPhases) {
+		t.Fatalf("Phases() has %d keys, want %d", len(phases), len(StatPhases))
+	}
+	for _, c := range StatCounters {
+		if got, want := *c.Field(&sum), *c.Field(&x)+*c.Field(&y); got != want || counters[c.Name] != int64(want) {
+			t.Errorf("Merge %s = %d (Counters %d), want %d", c.Name, got, counters[c.Name], want)
+		}
+		if got, want := *c.Field(&delta), *c.Field(&x)-*c.Field(&y); got != want {
+			t.Errorf("delta %s = %d, want %d", c.Name, got, want)
+		}
+	}
+	for _, p := range StatPhases {
+		if got, want := *p.Field(&sum), *p.Field(&x)+*p.Field(&y); got != want || phases[p.Name] != want {
+			t.Errorf("Merge %s = %v (Phases %v), want %v", p.Name, got, phases[p.Name], want)
+		}
+		if got, want := *p.Field(&delta), *p.Field(&x)-*p.Field(&y); got != want {
+			t.Errorf("delta %s = %v, want %v", p.Name, got, want)
+		}
+	}
+}
+
+// TestWithKnobsOR pins the knob composition every surface shares: a knob
+// set on the base Config or in the added set survives, nothing else is
+// switched on, and KnobSet reads back exactly the switches that are on.
+func TestWithKnobsOR(t *testing.T) {
+	for i, kn := range Knobs {
+		var own Config
+		*kn.Field(&own) = true
+		if got := own.KnobSet(); got != 1<<i {
+			t.Errorf("%s: KnobSet = %b, want %b", kn.Name, got, 1<<i)
+		}
+		if got := own.WithKnobs(0).KnobSet(); got != 1<<i {
+			t.Errorf("%s on the base lost by WithKnobs(0): %b", kn.Name, got)
+		}
+		if got := (Config{}).WithKnobs(1 << i).KnobSet(); got != 1<<i {
+			t.Errorf("%s added to a zero base: %b", kn.Name, got)
+		}
+		for j := range Knobs {
+			if got, want := own.WithKnobs(1<<j).KnobSet(), KnobSet(1<<i|1<<j); got != want {
+				t.Errorf("%s base with %s added: %b, want %b", kn.Name, Knobs[j].Name, got, want)
+			}
+		}
 	}
 }

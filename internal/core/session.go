@@ -336,35 +336,11 @@ func (s *Session) AllModels(ctx context.Context, projectVars []int, max int, rep
 	return count, status, err
 }
 
-// statsDelta returns after − before, counter by counter — the per-call
+// statsDelta returns after − before, entry by entry — the per-call
 // attribution a session result carries.
 func statsDelta(after, before Stats) Stats {
-	return Stats{
-		Iterations:        after.Iterations - before.Iterations,
-		LinearChecks:      after.LinearChecks - before.LinearChecks,
-		NonlinearChecks:   after.NonlinearChecks - before.NonlinearChecks,
-		ConflictClauses:   after.ConflictClauses - before.ConflictClauses,
-		LossyBlocks:       after.LossyBlocks - before.LossyBlocks,
-		NESplits:          after.NESplits - before.NESplits,
-		LemmasPublished:   after.LemmasPublished - before.LemmasPublished,
-		LemmasImported:    after.LemmasImported - before.LemmasImported,
-		LemmasDeduped:     after.LemmasDeduped - before.LemmasDeduped,
-		TheoryCacheHits:   after.TheoryCacheHits - before.TheoryCacheHits,
-		TheoryCacheMisses: after.TheoryCacheMisses - before.TheoryCacheMisses,
-		SessionSolves:     after.SessionSolves - before.SessionSolves,
-		ClausesSubsumed:   after.ClausesSubsumed - before.ClausesSubsumed,
-		ProbedLiterals:    after.ProbedLiterals - before.ProbedLiterals,
-		ArenaCompactions:  after.ArenaCompactions - before.ArenaCompactions,
-		NLPUnknown:        after.NLPUnknown - before.NLPUnknown,
-		NLPUnknownRescued: after.NLPUnknownRescued - before.NLPUnknownRescued,
-		PolyARRegions:     after.PolyARRegions - before.PolyARRegions,
-		PolyARPruned:      after.PolyARPruned - before.PolyARPruned,
-		PolyARWitnesses:   after.PolyARWitnesses - before.PolyARWitnesses,
-		BoolTime:          after.BoolTime - before.BoolTime,
-		LinearTime:        after.LinearTime - before.LinearTime,
-		NonlinearTime:     after.NonlinearTime - before.NonlinearTime,
-		WallTime:          after.WallTime - before.WallTime,
-	}
+	after.add(&before, -1)
+	return after
 }
 
 // addClauseLive adds a clause to the live Boolean solver (when one is

@@ -297,7 +297,8 @@ func checkCold(ctx context.Context, prog *lustre.Program, opts Options) (Result,
 		}
 		prior := res.Stats
 		done, err := checkDepth(ctx, sess, ur, prog, &opts, propLits, pd, d, &res)
-		res.Stats = addStats(prior, sess.Stats())
+		prior.Merge(sess.Stats())
+		res.Stats = prior
 		if done || err != nil {
 			return res, err
 		}
@@ -433,27 +434,4 @@ func Replay(prog *lustre.Program, tr *Trace) (bool, error) {
 		}
 	}
 	return vals[tr.Step][tr.Property] == 0, nil
-}
-
-func addStats(a, b core.Stats) core.Stats {
-	a.Iterations += b.Iterations
-	a.LinearChecks += b.LinearChecks
-	a.NonlinearChecks += b.NonlinearChecks
-	a.ConflictClauses += b.ConflictClauses
-	a.LossyBlocks += b.LossyBlocks
-	a.NESplits += b.NESplits
-	a.LemmasPublished += b.LemmasPublished
-	a.LemmasImported += b.LemmasImported
-	a.LemmasDeduped += b.LemmasDeduped
-	a.TheoryCacheHits += b.TheoryCacheHits
-	a.TheoryCacheMisses += b.TheoryCacheMisses
-	a.SessionSolves += b.SessionSolves
-	a.ClausesSubsumed += b.ClausesSubsumed
-	a.ProbedLiterals += b.ProbedLiterals
-	a.ArenaCompactions += b.ArenaCompactions
-	a.BoolTime += b.BoolTime
-	a.LinearTime += b.LinearTime
-	a.NonlinearTime += b.NonlinearTime
-	a.WallTime += b.WallTime
-	return a
 }

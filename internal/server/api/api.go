@@ -5,7 +5,9 @@
 package api
 
 import (
+	"encoding/json"
 	"fmt"
+	"math"
 	"net/url"
 	"strconv"
 	"time"
@@ -32,19 +34,9 @@ type SolveParams struct {
 	Portfolio int
 	// NoShare disables cross-engine lemma sharing in a portfolio race.
 	NoShare bool
-	// Restart re-creates the Boolean solver per iteration.
-	Restart bool
-	// NoIIS disables smallest-conflicting-subset refinement.
-	NoIIS bool
-	// NoLemmas disables static theory-lemma grounding.
-	NoLemmas bool
-	// NoCache disables the theory-verdict cache.
-	NoCache bool
-	// NoPolyAR disables the PolyAR abstraction-refinement fallback for
-	// nonlinear checks the penalty solver leaves undecided.
-	NoPolyAR bool
-	// CheckModels independently re-certifies every SAT model.
-	CheckModels bool
+	// Knobs are the engine's on/off switches, each travelling as its
+	// core.Knobs name.
+	Knobs core.KnobSet
 	// Timeout bounds queue wait + solve for this request; 0 selects the
 	// server's default, values above the server's maximum are clamped.
 	Timeout time.Duration
@@ -78,13 +70,10 @@ func (p SolveParams) Values() url.Values {
 		}
 	}
 	setBool("no_share", p.NoShare)
-	setBool("restart", p.Restart)
-	setBool("no_iis", p.NoIIS)
-	setBool("no_lemmas", p.NoLemmas)
-	setBool("no_cache", p.NoCache)
-	setBool("no_polyar", p.NoPolyAR)
-	setBool("check_models", p.CheckModels)
 	setBool("stream", p.Stream)
+	for i, kn := range core.Knobs {
+		setBool(kn.Name, p.Knobs&(1<<i) != 0)
+	}
 	if p.Timeout > 0 {
 		v.Set("timeout", p.Timeout.String())
 	}
@@ -116,30 +105,18 @@ func ParseParams(v url.Values) (SolveParams, error) {
 		}
 		p.Portfolio = n
 	}
-	getBool := func(key string, dst *bool) error {
-		s := v.Get(key)
-		if s == "" {
-			if _, present := v[key]; present {
-				// Bare "?restart" (no value) means true.
-				*dst = true
-			}
-			return nil
-		}
-		b, err := strconv.ParseBool(s)
-		if err != nil {
-			return fmt.Errorf("bad %s %q: want a boolean", key, s)
-		}
-		*dst = b
-		return nil
-	}
-	for key, dst := range map[string]*bool{
-		"no_share": &p.NoShare, "restart": &p.Restart, "no_iis": &p.NoIIS,
-		"no_lemmas": &p.NoLemmas, "no_cache": &p.NoCache,
-		"no_polyar":    &p.NoPolyAR,
-		"check_models": &p.CheckModels, "stream": &p.Stream,
-	} {
-		if err := getBool(key, dst); err != nil {
+	for key, dst := range map[string]*bool{"no_share": &p.NoShare, "stream": &p.Stream} {
+		if err := parseBool(v, key, dst); err != nil {
 			return p, err
+		}
+	}
+	for i, kn := range core.Knobs {
+		var on bool
+		if err := parseBool(v, kn.Name, &on); err != nil {
+			return p, err
+		}
+		if on {
+			p.Knobs |= 1 << i
 		}
 	}
 	if s := v.Get("timeout"); s != "" {
@@ -157,88 +134,58 @@ func ParseParams(v url.Values) (SolveParams, error) {
 	return p, nil
 }
 
-// Stats is the JSON rendering of core.Stats (wall-clock fields in
-// milliseconds).
-type Stats struct {
-	Iterations        int     `json:"iterations"`
-	LinearChecks      int     `json:"linear_checks"`
-	NonlinearChecks   int     `json:"nonlinear_checks"`
-	ConflictClauses   int     `json:"conflict_clauses"`
-	LossyBlocks       int     `json:"lossy_blocks"`
-	NESplits          int     `json:"ne_splits"`
-	LemmasPublished   int     `json:"lemmas_published"`
-	LemmasImported    int     `json:"lemmas_imported"`
-	LemmasDeduped     int     `json:"lemmas_deduped"`
-	TheoryCacheHits   int     `json:"theory_cache_hits"`
-	TheoryCacheMisses int     `json:"theory_cache_misses"`
-	SessionSolves     int     `json:"session_solves,omitempty"`
-	NLPUnknown        int     `json:"nlp_unknown,omitempty"`
-	NLPUnknownRescued int     `json:"nlp_unknown_rescued,omitempty"`
-	PolyARRegions     int     `json:"polyar_regions,omitempty"`
-	PolyARPruned      int     `json:"polyar_pruned,omitempty"`
-	PolyARWitnesses   int     `json:"polyar_witnesses,omitempty"`
-	BoolMS            float64 `json:"bool_ms"`
-	LinearMS          float64 `json:"linear_ms"`
-	NonlinearMS       float64 `json:"nonlinear_ms"`
-	WallMS            float64 `json:"wall_ms"`
+// parseBool reads the boolean query parameter key into dst, leaving dst
+// alone when key is absent. A bare key ("?restart") means true.
+func parseBool(v url.Values, key string, dst *bool) error {
+	s := v.Get(key)
+	if s == "" {
+		if _, present := v[key]; present {
+			*dst = true
+		}
+		return nil
+	}
+	b, err := strconv.ParseBool(s)
+	if err != nil {
+		return fmt.Errorf("bad %s %q: want a boolean", key, s)
+	}
+	*dst = b
+	return nil
 }
 
-// StatsFrom converts engine statistics to the wire form.
-func StatsFrom(s core.Stats) Stats {
-	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
-	return Stats{
-		Iterations:        s.Iterations,
-		LinearChecks:      s.LinearChecks,
-		NonlinearChecks:   s.NonlinearChecks,
-		ConflictClauses:   s.ConflictClauses,
-		LossyBlocks:       s.LossyBlocks,
-		NESplits:          s.NESplits,
-		LemmasPublished:   s.LemmasPublished,
-		LemmasImported:    s.LemmasImported,
-		LemmasDeduped:     s.LemmasDeduped,
-		TheoryCacheHits:   s.TheoryCacheHits,
-		TheoryCacheMisses: s.TheoryCacheMisses,
-		SessionSolves:     s.SessionSolves,
-		NLPUnknown:        s.NLPUnknown,
-		NLPUnknownRescued: s.NLPUnknownRescued,
-		PolyARRegions:     s.PolyARRegions,
-		PolyARPruned:      s.PolyARPruned,
-		PolyARWitnesses:   s.PolyARWitnesses,
-		BoolMS:            ms(s.BoolTime),
-		LinearMS:          ms(s.LinearTime),
-		NonlinearMS:       ms(s.NonlinearTime),
-		WallMS:            ms(s.WallTime),
+// Stats is the JSON rendering of core.Stats: each core.StatCounters entry
+// under its name as an integer, each core.StatPhases entry as <name>_ms in
+// float milliseconds. Convert with api.Stats(st) and core.Stats(s).
+type Stats core.Stats
+
+// MarshalJSON renders every counter and phase, zero or not.
+func (s Stats) MarshalJSON() ([]byte, error) {
+	st := core.Stats(s)
+	m := make(map[string]any, len(core.StatCounters)+len(core.StatPhases))
+	for _, c := range core.StatCounters {
+		m[c.Name] = *c.Field(&st)
 	}
+	for _, p := range core.StatPhases {
+		m[p.Name+"_ms"] = float64(*p.Field(&st)) / float64(time.Millisecond)
+	}
+	return json.Marshal(m)
 }
 
-// ToCore converts wire statistics back to engine form (the inverse of
-// StatsFrom, up to sub-millisecond truncation). A cluster coordinator uses
-// it to merge workers' reported counters into one engine-shaped total.
-func (s Stats) ToCore() core.Stats {
-	d := func(ms float64) time.Duration { return time.Duration(ms * float64(time.Millisecond)) }
-	return core.Stats{
-		Iterations:        s.Iterations,
-		LinearChecks:      s.LinearChecks,
-		NonlinearChecks:   s.NonlinearChecks,
-		ConflictClauses:   s.ConflictClauses,
-		LossyBlocks:       s.LossyBlocks,
-		NESplits:          s.NESplits,
-		LemmasPublished:   s.LemmasPublished,
-		LemmasImported:    s.LemmasImported,
-		LemmasDeduped:     s.LemmasDeduped,
-		TheoryCacheHits:   s.TheoryCacheHits,
-		TheoryCacheMisses: s.TheoryCacheMisses,
-		SessionSolves:     s.SessionSolves,
-		NLPUnknown:        s.NLPUnknown,
-		NLPUnknownRescued: s.NLPUnknownRescued,
-		PolyARRegions:     s.PolyARRegions,
-		PolyARPruned:      s.PolyARPruned,
-		PolyARWitnesses:   s.PolyARWitnesses,
-		BoolTime:          d(s.BoolMS),
-		LinearTime:        d(s.LinearMS),
-		NonlinearTime:     d(s.NonlinearMS),
-		WallTime:          d(s.WallMS),
+// UnmarshalJSON reads the keys MarshalJSON writes; absent keys read as
+// zero and unknown keys are ignored.
+func (s *Stats) UnmarshalJSON(b []byte) error {
+	var m map[string]float64
+	if err := json.Unmarshal(b, &m); err != nil {
+		return err
 	}
+	st := (*core.Stats)(s)
+	*st = core.Stats{}
+	for _, c := range core.StatCounters {
+		*c.Field(st) = int(m[c.Name])
+	}
+	for _, p := range core.StatPhases {
+		*p.Field(st) = time.Duration(math.Round(m[p.Name+"_ms"] * float64(time.Millisecond)))
+	}
+	return nil
 }
 
 // Model is the JSON rendering of a satisfying valuation.

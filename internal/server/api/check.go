@@ -80,14 +80,8 @@ func ParseCheckParams(v url.Values) (CheckParams, error) {
 		p.K = n
 	}
 	p.Property = v.Get("prop")
-	if s := v.Get("no_induction"); s != "" {
-		b, err := strconv.ParseBool(s)
-		if err != nil {
-			return p, fmt.Errorf("bad no_induction %q: want a boolean", s)
-		}
-		p.NoInduction = b
-	} else if _, present := v["no_induction"]; present {
-		p.NoInduction = true
+	if err := parseBool(v, "no_induction", &p.NoInduction); err != nil {
+		return p, err
 	}
 	if s := v.Get("timeout"); s != "" {
 		d, err := time.ParseDuration(s)

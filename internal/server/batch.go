@@ -48,7 +48,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, api.ExitUsage, "batch sessions are single-strategy; portfolio is not supported")
 		return
 	}
-	if params.Restart {
+	if (core.Config{}).WithKnobs(params.Knobs).RestartBoolean {
 		s.metrics.reject(rejectBadRequest)
 		writeError(w, http.StatusBadRequest, api.ExitUsage, "batch sessions are incremental; restart is not supported")
 		return
@@ -194,13 +194,7 @@ func (s *Server) runBatch(j *job, wait time.Duration) {
 		}
 	}
 
-	sess, err := core.NewSession(j.problem, core.Config{
-		NoIIS:          j.params.NoIIS,
-		NoGroundLemmas: j.params.NoLemmas,
-		NoTheoryCache:  j.params.NoCache,
-		NoPolyAR:       j.params.NoPolyAR,
-		CheckModels:    j.params.CheckModels,
-	})
+	sess, err := core.NewSession(j.problem, core.Config{}.WithKnobs(j.params.Knobs))
 	if err != nil {
 		s.metrics.jobDone(verdictError, core.Stats{}, wait)
 		send(api.BatchEvent{Type: api.EventError, Error: err.Error()})

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"absolver/internal/core"
 	"absolver/internal/server"
 	"absolver/internal/server/api"
 	"absolver/internal/server/client"
@@ -23,7 +24,7 @@ func TestBatchEndToEnd(t *testing.T) {
 		{ID: "contradicted", Clauses: [][]int{{-1}, {-2}}},
 		{ID: "assumed", Assume: []int{1}},
 	}
-	items, summary, err := c.Batch(ctx, satDIMACS, instances, api.SolveParams{CheckModels: true})
+	items, summary, err := c.Batch(ctx, satDIMACS, instances, api.SolveParams{Knobs: core.Config{CheckModels: true}.KnobSet()})
 	if err != nil {
 		t.Fatalf("batch: %v", err)
 	}
@@ -103,7 +104,7 @@ func TestBatchRejectsMultiStrategyParams(t *testing.T) {
 	ctx := context.Background()
 	for _, params := range []api.SolveParams{
 		{Portfolio: 2},
-		{Restart: true},
+		{Knobs: core.Config{RestartBoolean: true}.KnobSet()},
 	} {
 		_, _, err := c.Batch(ctx, satDIMACS, []api.BatchInstance{{}}, params)
 		var se *client.Error

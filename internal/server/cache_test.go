@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"absolver/internal/core"
 	"absolver/internal/server"
 	"absolver/internal/server/api"
 )
@@ -74,7 +75,7 @@ func TestCacheBypassWithNoCache(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Workers: 1, QueueDepth: 2})
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
-		resp, err := c.Solve(ctx, satDIMACS, api.SolveParams{NoCache: true})
+		resp, err := c.Solve(ctx, satDIMACS, api.SolveParams{Knobs: core.Config{NoTheoryCache: true}.KnobSet()})
 		if err != nil || resp.Status != "sat" {
 			t.Fatalf("solve %d: %v %+v", i, err, resp)
 		}
@@ -110,13 +111,13 @@ func TestCacheDisabled(t *testing.T) {
 func TestCacheHitRecertifiesUnderCheckModels(t *testing.T) {
 	_, c := newTestServer(t, server.Config{Workers: 1, QueueDepth: 2})
 	ctx := context.Background()
-	first, err := c.Solve(ctx, satDIMACS, api.SolveParams{CheckModels: true})
+	first, err := c.Solve(ctx, satDIMACS, api.SolveParams{Knobs: core.Config{CheckModels: true}.KnobSet()})
 	if err != nil || first.Status != "sat" || first.Model == nil {
 		t.Fatalf("first: %v %+v", err, first)
 	}
 	// The hit passes through CertifyModel against the incoming problem and
 	// serves the cached witness.
-	second, err := c.Solve(ctx, satDIMACSPermuted, api.SolveParams{CheckModels: true})
+	second, err := c.Solve(ctx, satDIMACSPermuted, api.SolveParams{Knobs: core.Config{CheckModels: true}.KnobSet()})
 	if err != nil || second.Status != "sat" || second.Model == nil {
 		t.Fatalf("second: %v %+v", err, second)
 	}
@@ -131,7 +132,7 @@ func TestCacheHitRecertifiesUnderCheckModels(t *testing.T) {
 	if _, err := c.Solve(ctx, unsatDIMACS, api.SolveParams{}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := c.Solve(ctx, unsatDIMACS, api.SolveParams{CheckModels: true})
+	resp, err := c.Solve(ctx, unsatDIMACS, api.SolveParams{Knobs: core.Config{CheckModels: true}.KnobSet()})
 	if err != nil || resp.Status != "unsat" {
 		t.Fatalf("cached unsat under check_models: %v %+v", err, resp)
 	}

@@ -174,7 +174,7 @@ func (s *Server) runCheckJob(j *job, wait time.Duration) {
 		Certified: res.Certified,
 		Depths:    res.Depths,
 		Reason:    res.Reason,
-		Stats:     api.StatsFrom(res.Stats),
+		Stats:     api.Stats(res.Stats),
 	}
 	if timedOut && resp.Reason == "" {
 		resp.Reason = "timeout"

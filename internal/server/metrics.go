@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"io"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -158,76 +159,33 @@ type gauges struct {
 // sorted order so scrapes (and tests) see deterministic output.
 func (m *metrics) write(w io.Writer, g gauges) {
 	m.mu.Lock()
-	solves := make(map[string]int64, len(m.solves))
-	for k, v := range m.solves {
-		solves[k] = v
-	}
-	rejected := make(map[string]int64, len(m.rejected))
-	for k, v := range m.rejected {
-		rejected[k] = v
-	}
+	solves := maps.Clone(m.solves)
+	rejected := maps.Clone(m.rejected)
 	engine := m.engine
 	wait := m.waitTime
 	cacheHits, cacheMisses := m.cacheHits, m.cacheMisses
 	batchRequests, batchInstances := m.batchRequests, m.batchInstances
-	checks := make(map[string]int64, len(m.checks))
-	for k, v := range m.checks {
-		checks[k] = v
-	}
+	checks := maps.Clone(m.checks)
 	checkDepths, checkInduction := m.checkDepths, m.checkInduction
 	m.mu.Unlock()
 
-	fmt.Fprintln(w, "# HELP absolverd_solves_total Completed solve jobs by outcome class.")
-	fmt.Fprintln(w, "# TYPE absolverd_solves_total counter")
-	for _, k := range sortedKeys(solves) {
-		fmt.Fprintf(w, "absolverd_solves_total{verdict=%q} %d\n", k, solves[k])
-	}
-	fmt.Fprintln(w, "# HELP absolverd_rejected_total Requests rejected before admission, by reason.")
-	fmt.Fprintln(w, "# TYPE absolverd_rejected_total counter")
-	for _, k := range sortedKeys(rejected) {
-		fmt.Fprintf(w, "absolverd_rejected_total{reason=%q} %d\n", k, rejected[k])
-	}
+	writeLabelled(w, "absolverd_solves_total", "verdict", "Completed solve jobs by outcome class.", solves)
+	writeLabelled(w, "absolverd_rejected_total", "reason", "Requests rejected before admission, by reason.", rejected)
 
-	fmt.Fprintln(w, "# HELP absolverd_queue_depth Jobs admitted but not yet picked up by a worker.")
-	fmt.Fprintln(w, "# TYPE absolverd_queue_depth gauge")
-	fmt.Fprintf(w, "absolverd_queue_depth %d\n", g.queueDepth)
-	fmt.Fprintln(w, "# HELP absolverd_queue_capacity Bounded queue capacity (jobs beyond busy workers).")
-	fmt.Fprintln(w, "# TYPE absolverd_queue_capacity gauge")
-	fmt.Fprintf(w, "absolverd_queue_capacity %d\n", g.queueCapacity)
-	fmt.Fprintln(w, "# HELP absolverd_workers Size of the fixed worker pool.")
-	fmt.Fprintln(w, "# TYPE absolverd_workers gauge")
-	fmt.Fprintf(w, "absolverd_workers %d\n", g.workers)
-	fmt.Fprintln(w, "# HELP absolverd_workers_busy Workers currently running a solve.")
-	fmt.Fprintln(w, "# TYPE absolverd_workers_busy gauge")
-	fmt.Fprintf(w, "absolverd_workers_busy %d\n", g.workersBusy)
+	writeSeries(w, "absolverd_queue_depth", "gauge", "Jobs admitted but not yet picked up by a worker.", g.queueDepth)
+	writeSeries(w, "absolverd_queue_capacity", "gauge", "Bounded queue capacity (jobs beyond busy workers).", g.queueCapacity)
+	writeSeries(w, "absolverd_workers", "gauge", "Size of the fixed worker pool.", g.workers)
+	writeSeries(w, "absolverd_workers_busy", "gauge", "Workers currently running a solve.", g.workersBusy)
 
-	fmt.Fprintln(w, "# HELP absolverd_cache_hits_total Requests answered from the canonical verdict cache.")
-	fmt.Fprintln(w, "# TYPE absolverd_cache_hits_total counter")
-	fmt.Fprintf(w, "absolverd_cache_hits_total %d\n", cacheHits)
-	fmt.Fprintln(w, "# HELP absolverd_cache_misses_total Cacheable requests that required a solve.")
-	fmt.Fprintln(w, "# TYPE absolverd_cache_misses_total counter")
-	fmt.Fprintf(w, "absolverd_cache_misses_total %d\n", cacheMisses)
-	fmt.Fprintln(w, "# HELP absolverd_batch_requests_total Completed /v1/batch runs.")
-	fmt.Fprintln(w, "# TYPE absolverd_batch_requests_total counter")
-	fmt.Fprintf(w, "absolverd_batch_requests_total %d\n", batchRequests)
-	fmt.Fprintln(w, "# HELP absolverd_batch_instances_total Instances solved across all batch runs.")
-	fmt.Fprintln(w, "# TYPE absolverd_batch_instances_total counter")
-	fmt.Fprintf(w, "absolverd_batch_instances_total %d\n", batchInstances)
-	fmt.Fprintln(w, "# HELP absolverd_check_requests_total Completed /v1/check runs by verdict.")
-	fmt.Fprintln(w, "# TYPE absolverd_check_requests_total counter")
-	for _, k := range sortedKeys(checks) {
-		fmt.Fprintf(w, "absolverd_check_requests_total{verdict=%q} %d\n", k, checks[k])
-	}
-	fmt.Fprintln(w, "# HELP absolverd_check_depths_total Unrolling depths explored across all checks.")
-	fmt.Fprintln(w, "# TYPE absolverd_check_depths_total counter")
-	fmt.Fprintf(w, "absolverd_check_depths_total %d\n", checkDepths)
-	fmt.Fprintln(w, "# HELP absolverd_check_induction_total Checks proved by a k-induction step case.")
-	fmt.Fprintln(w, "# TYPE absolverd_check_induction_total counter")
-	fmt.Fprintf(w, "absolverd_check_induction_total %d\n", checkInduction)
+	writeSeries(w, "absolverd_cache_hits_total", "counter", "Requests answered from the canonical verdict cache.", cacheHits)
+	writeSeries(w, "absolverd_cache_misses_total", "counter", "Cacheable requests that required a solve.", cacheMisses)
+	writeSeries(w, "absolverd_batch_requests_total", "counter", "Completed /v1/batch runs.", batchRequests)
+	writeSeries(w, "absolverd_batch_instances_total", "counter", "Instances solved across all batch runs.", batchInstances)
+	writeLabelled(w, "absolverd_check_requests_total", "verdict", "Completed /v1/check runs by verdict.", checks)
+	writeSeries(w, "absolverd_check_depths_total", "counter", "Unrolling depths explored across all checks.", checkDepths)
+	writeSeries(w, "absolverd_check_induction_total", "counter", "Checks proved by a k-induction step case.", checkInduction)
 
-	fmt.Fprintln(w, "# HELP absolverd_queue_wait_seconds_total Cumulative admission-to-start wait across jobs.")
-	fmt.Fprintln(w, "# TYPE absolverd_queue_wait_seconds_total counter")
-	fmt.Fprintf(w, "absolverd_queue_wait_seconds_total %g\n", wait.Seconds())
+	writeSeries(w, "absolverd_queue_wait_seconds_total", "counter", "Cumulative admission-to-start wait across jobs.", wait.Seconds())
 
 	// Engine counters, via the core.Stats aggregation hook.
 	counters := engine.Counters()
@@ -236,42 +194,43 @@ func (m *metrics) write(w io.Writer, g gauges) {
 		fmt.Fprintf(w, "# TYPE absolverd_engine_%s_total counter\n", k)
 		fmt.Fprintf(w, "absolverd_engine_%s_total %d\n", k, counters[k])
 	}
-	fmt.Fprintln(w, "# HELP absolverd_engine_wall_seconds_total Engine wall time summed over all finished jobs.")
-	fmt.Fprintln(w, "# TYPE absolverd_engine_wall_seconds_total counter")
-	fmt.Fprintf(w, "absolverd_engine_wall_seconds_total %g\n", engine.WallTime.Seconds())
+	for _, p := range core.StatPhases {
+		writeSeries(w, "absolverd_engine_"+p.Name+"_seconds_total", "counter",
+			"Engine "+p.Name+" time summed over all finished jobs.", p.Field(&engine).Seconds())
+	}
 
 	// The nonlinear unknown-rate — the north-star metric of the PolyAR
 	// subsystem — gets first-class series (beyond the generic engine
 	// counters above): undecided nonlinear checks and how many of them the
 	// abstraction-refinement fallback rescued to a definitive verdict.
-	fmt.Fprintln(w, "# HELP absolverd_nlp_unknown_total Nonlinear theory checks the penalty solver left undecided.")
-	fmt.Fprintln(w, "# TYPE absolverd_nlp_unknown_total counter")
-	fmt.Fprintf(w, "absolverd_nlp_unknown_total %d\n", engine.NLPUnknown)
-	fmt.Fprintln(w, "# HELP absolverd_nlp_rescued_total Undecided nonlinear checks PolyAR converted to a definitive verdict.")
-	fmt.Fprintln(w, "# TYPE absolverd_nlp_rescued_total counter")
-	fmt.Fprintf(w, "absolverd_nlp_rescued_total %d\n", engine.NLPUnknownRescued)
+	writeSeries(w, "absolverd_nlp_unknown_total", "counter", "Nonlinear theory checks the penalty solver left undecided.", engine.NLPUnknown)
+	writeSeries(w, "absolverd_nlp_rescued_total", "counter", "Undecided nonlinear checks PolyAR converted to a definitive verdict.", engine.NLPUnknownRescued)
 
 	if g.cluster != nil {
 		c := g.cluster
-		fmt.Fprintln(w, "# HELP absolverd_cluster_cubes_issued_total Cubes dispatched to workers.")
-		fmt.Fprintln(w, "# TYPE absolverd_cluster_cubes_issued_total counter")
-		fmt.Fprintf(w, "absolverd_cluster_cubes_issued_total %d\n", c.cubesIssued.Load())
-		fmt.Fprintln(w, "# HELP absolverd_cluster_cubes_solved_total Cubes with a terminal verdict.")
-		fmt.Fprintln(w, "# TYPE absolverd_cluster_cubes_solved_total counter")
-		fmt.Fprintf(w, "absolverd_cluster_cubes_solved_total %d\n", c.cubesSolved.Load())
-		fmt.Fprintln(w, "# HELP absolverd_cluster_cubes_requeued_total Cubes requeued after a worker failure.")
-		fmt.Fprintln(w, "# TYPE absolverd_cluster_cubes_requeued_total counter")
-		fmt.Fprintf(w, "absolverd_cluster_cubes_requeued_total %d\n", c.cubesRequeued.Load())
-		fmt.Fprintln(w, "# HELP absolverd_cluster_worker_failures_total Failed worker dispatches.")
-		fmt.Fprintln(w, "# TYPE absolverd_cluster_worker_failures_total counter")
-		fmt.Fprintf(w, "absolverd_cluster_worker_failures_total %d\n", c.workerFailures.Load())
+		writeSeries(w, "absolverd_cluster_cubes_issued_total", "counter", "Cubes dispatched to workers.", c.cubesIssued.Load())
+		writeSeries(w, "absolverd_cluster_cubes_solved_total", "counter", "Cubes with a terminal verdict.", c.cubesSolved.Load())
+		writeSeries(w, "absolverd_cluster_cubes_requeued_total", "counter", "Cubes requeued after a worker failure.", c.cubesRequeued.Load())
+		writeSeries(w, "absolverd_cluster_worker_failures_total", "counter", "Failed worker dispatches.", c.workerFailures.Load())
 		var relayed int64
 		if c.LemmasRelayed != nil {
 			relayed = c.LemmasRelayed()
 		}
-		fmt.Fprintln(w, "# HELP absolverd_cluster_lemmas_relayed_total Lemmas delivered across workers by the relay.")
-		fmt.Fprintln(w, "# TYPE absolverd_cluster_lemmas_relayed_total counter")
-		fmt.Fprintf(w, "absolverd_cluster_lemmas_relayed_total %d\n", relayed)
+		writeSeries(w, "absolverd_cluster_lemmas_relayed_total", "counter", "Lemmas delivered across workers by the relay.", relayed)
+	}
+}
+
+// writeSeries renders one unlabelled series with its HELP and TYPE lines.
+func writeSeries(w io.Writer, name, typ, help string, v any) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %v\n", name, help, name, typ, name, v)
+}
+
+// writeLabelled renders a counter family, one series per label value in
+// sorted order.
+func writeLabelled(w io.Writer, name, label, help string, m map[string]int64) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
+	for _, k := range sortedKeys(m) {
+		fmt.Fprintf(w, "%s{%s=%q} %d\n", name, label, k, m[k])
 	}
 }
 

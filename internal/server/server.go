@@ -395,27 +395,11 @@ func (s *Server) solve(ctx context.Context, p *core.Problem, params api.SolvePar
 	if s.cfg.SolveFunc != nil {
 		return s.cfg.SolveFunc(ctx, p, params, trace)
 	}
-	base := core.Config{
-		RestartBoolean: params.Restart,
-		NoIIS:          params.NoIIS,
-		NoGroundLemmas: params.NoLemmas,
-		NoTheoryCache:  params.NoCache,
-		NoPolyAR:       params.NoPolyAR,
-		CheckModels:    params.CheckModels,
-	}
+	base := core.Config{}.WithKnobs(params.Knobs)
 	if params.Portfolio > 0 {
 		strategies := portfolio.DefaultStrategies(params.Portfolio)
-		// Knobs OR-compose onto every strategy's own configuration, as in
-		// the stand-alone tool: a strategy defined by a restriction keeps
-		// it even when the request doesn't ask for that restriction.
 		for i := range strategies {
-			c := &strategies[i].Config
-			c.RestartBoolean = c.RestartBoolean || base.RestartBoolean
-			c.NoIIS = c.NoIIS || base.NoIIS
-			c.NoGroundLemmas = c.NoGroundLemmas || base.NoGroundLemmas
-			c.NoTheoryCache = c.NoTheoryCache || base.NoTheoryCache
-			c.NoPolyAR = c.NoPolyAR || base.NoPolyAR
-			c.CheckModels = c.CheckModels || base.CheckModels
+			strategies[i].Config = strategies[i].Config.WithKnobs(params.Knobs)
 		}
 		// N interleaved engine traces are not readable; streaming a
 		// portfolio run emits only the final result event.
@@ -540,11 +524,12 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	// own theory cache); streamed requests skip it — their value is the
 	// trace, not the verdict.
 	var cacheKey string
-	if s.cache != nil && !params.Stream && !params.NoCache {
+	knobs := core.Config{}.WithKnobs(params.Knobs)
+	if s.cache != nil && !params.Stream && !knobs.NoTheoryCache {
 		cacheKey = canonicalProblemKey(problem)
 		if ent, ok := s.cache.get(cacheKey); ok {
 			certified := true
-			if params.CheckModels && ent.resp.Status == core.StatusSat.String() {
+			if knobs.CheckModels && ent.resp.Status == core.StatusSat.String() {
 				// Re-certify the cached witness against THIS problem; a
 				// stale or hash-colliding entry fails and is evicted.
 				if ent.model == nil || core.CertifyModel(problem, *ent.model) != nil {
@@ -622,7 +607,7 @@ func outcomeResponse(out Outcome, err error) (api.SolveResponse, *api.ErrorRespo
 		Status:   res.Status.String(),
 		ExitCode: api.ExitCode(res.Status),
 		Winner:   out.Winner,
-		Stats:    api.StatsFrom(res.Stats),
+		Stats:    api.Stats(res.Stats),
 	}
 	if res.Status == core.StatusSat && res.Model != nil {
 		resp.Model = api.ModelFrom(*res.Model)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"absolver/internal/core"
 	"absolver/internal/server"
 	"absolver/internal/server/api"
 	"absolver/internal/server/client"
@@ -105,7 +106,9 @@ func TestSolveKnobs(t *testing.T) {
 	}
 
 	resp, err = c.Solve(ctx, satDIMACS, api.SolveParams{
-		Restart: true, NoIIS: true, NoLemmas: true, NoCache: true, CheckModels: true,
+		Knobs: core.Config{
+			RestartBoolean: true, NoIIS: true, NoGroundLemmas: true, NoTheoryCache: true, CheckModels: true,
+		}.KnobSet(),
 		Timeout: 20 * time.Second,
 	})
 	if err != nil {
@@ -172,7 +175,7 @@ func TestStreamingTrace(t *testing.T) {
 	// NoLemmas forces the lazy loop to discover the conflict by theory
 	// checking (static grounding would refute this problem in the Boolean
 	// skeleton with zero iterations — and zero trace events).
-	resp, err := c.SolveStream(context.Background(), unsatDIMACS, api.SolveParams{NoLemmas: true}, func(ev api.StreamEvent) error {
+	resp, err := c.SolveStream(context.Background(), unsatDIMACS, api.SolveParams{Knobs: core.Config{NoGroundLemmas: true}.KnobSet()}, func(ev api.StreamEvent) error {
 		events = append(events, ev)
 		return nil
 	})
@@ -267,6 +270,16 @@ func TestMetricsAfterKnownWorkload(t *testing.T) {
 	} {
 		if _, ok := m["absolverd_engine_"+k+"_total"]; !ok {
 			t.Errorf("engine counter %s not exported", k)
+		}
+	}
+	for _, c := range core.StatCounters {
+		if _, ok := m["absolverd_engine_"+c.Name+"_total"]; !ok {
+			t.Errorf("engine counter %s not exported", c.Name)
+		}
+	}
+	for _, p := range core.StatPhases {
+		if _, ok := m["absolverd_engine_"+p.Name+"_seconds_total"]; !ok {
+			t.Errorf("engine phase %s not exported", p.Name)
 		}
 	}
 }
