@@ -5,74 +5,74 @@ import (
 	"math"
 
 	"absolver/internal/expr"
+	"absolver/internal/interval"
 )
 
 // polish refines a candidate point by damped Gauss-Newton (Levenberg-
 // Marquardt) iterations on the violation residual vector. Gradient descent
 // converges only linearly near a solution of tight equalities; LM restores
 // the quadratic local convergence an interior-point solver like IPOPT has.
-// The returned point is at least as good as the input under the merit
-// function. evals counts merit evaluations.
-func polish(ctx context.Context, p *penalty, x expr.Env, box expr.Box, opt Options) (expr.Env, int) {
-	evals := 0
-	f, ok := p.eval(x)
+// It overwrites x with a point at least as good under the merit function;
+// box holds each slot's clamp interval. The Jacobian's columns are the
+// penalty's LM columns. evals counts merit evaluations.
+func polish(ctx context.Context, p *penalty, x []float64, box []interval.Interval, opt Options) (evals int) {
+	f, ok := p.eval(x, p.gx)
 	evals++
 	if !ok {
-		return x, evals
+		return evals
 	}
 	lambda := 1e-3
-	vars := p.vars
-	n := len(vars)
+	n := len(p.cols)
 	if n == 0 {
-		return x, evals
+		return evals
 	}
+	if p.rows == nil {
+		p.rows = newMatrix(len(p.terms), n)
+	}
+	a := newMatrix(n, n)
+	ad := newMatrix(n, n)
+	b := make([]float64, n)
+	bd := make([]float64, n)
+	var res []float64
 	for iter := 0; iter < 60; iter++ {
 		if f <= opt.Tol*opt.Tol {
-			return x, evals
+			return evals
 		}
 		if ctx.Err() != nil {
-			return x, evals
+			return evals
 		}
 		// Residuals and Jacobian of active terms.
-		var rows [][]float64
-		var res []float64
+		rows := p.rows[:0]
+		res = res[:0]
 		for i := range p.terms {
 			t := &p.terms[i]
-			g, err := t.g.Eval(x)
-			if err != nil {
-				return x, evals
-			}
-			v, dvdg := t.violation(g)
+			v, dvdg := t.violation(p.gx[i])
 			if v == 0 && t.op != expr.CmpEQ {
 				continue
 			}
 			if t.op == expr.CmpEQ {
 				dvdg = 1
 			}
-			row := make([]float64, n)
-			for j, name := range vars {
-				dg, okG := t.grads[name]
-				if !okG {
-					continue
+			rows = p.rows[:len(rows)+1]
+			row := rows[len(rows)-1]
+			clear(row)
+			for k := range t.grads {
+				d, ok := t.grads[k].Eval(x, p.stack)
+				if !ok {
+					return evals
 				}
-				d, err := dg.Eval(x)
-				if err != nil {
-					return x, evals
-				}
-				row[j] = dvdg * d
+				row[t.cols[k]] = dvdg * d
 			}
-			rows = append(rows, row)
 			res = append(res, v)
 		}
 		if len(rows) == 0 {
-			return x, evals
+			return evals
 		}
 		// Normal equations A = JᵀJ + λ·diag(JᵀJ), b = −Jᵀr.
-		a := make([][]float64, n)
-		b := make([]float64, n)
-		for j := 0; j < n; j++ {
-			a[j] = make([]float64, n)
+		for j := range a {
+			clear(a[j])
 		}
+		clear(b)
 		for ri, row := range rows {
 			for j := 0; j < n; j++ {
 				if row[j] == 0 {
@@ -92,9 +92,7 @@ func polish(ctx context.Context, p *penalty, x expr.Env, box expr.Box, opt Optio
 		improved := false
 		for attempt := 0; attempt < 8; attempt++ {
 			// Damped system.
-			ad := make([][]float64, n)
 			for j := 0; j < n; j++ {
-				ad[j] = make([]float64, n)
 				copy(ad[j], a[j])
 				diag := a[j][j]
 				if diag == 0 {
@@ -102,27 +100,20 @@ func polish(ctx context.Context, p *penalty, x expr.Env, box expr.Box, opt Optio
 				}
 				ad[j][j] += lambda * diag
 			}
-			bd := make([]float64, n)
 			copy(bd, b)
 			delta, ok := solveDense(ad, bd)
 			if ok {
-				trial := make(expr.Env, len(x))
-				for j, name := range vars {
-					t := x[name] + delta[j]
-					if iv, okb := box[name]; okb && !iv.IsEmpty() {
-						t = iv.Clamp(t)
-					}
-					trial[name] = t
+				trial := p.trial
+				copy(trial, x)
+				for j, s := range p.cols {
+					trial[s] = box[s].Clamp(x[s] + delta[j])
 				}
-				for k, v := range x {
-					if _, present := trial[k]; !present {
-						trial[k] = v
-					}
-				}
-				ft, okT := p.eval(trial)
+				ft, okT := p.eval(trial, p.gt)
 				evals++
 				if okT && ft < f {
-					x, f = trial, ft
+					copy(x, trial)
+					copy(p.gx, p.gt)
+					f = ft
 					lambda = math.Max(lambda/3, 1e-12)
 					improved = true
 					break
@@ -131,10 +122,19 @@ func polish(ctx context.Context, p *penalty, x expr.Env, box expr.Box, opt Optio
 			lambda *= 4
 		}
 		if !improved {
-			return x, evals
+			return evals
 		}
 	}
-	return x, evals
+	return evals
+}
+
+// newMatrix returns an r×c zero matrix.
+func newMatrix(r, c int) [][]float64 {
+	m := make([][]float64, r)
+	for j := range m {
+		m[j] = make([]float64, c)
+	}
+	return m
 }
 
 // solveDense solves a·x = b by Gaussian elimination with partial pivoting.

@@ -88,11 +88,11 @@ func TestPolishConvergesOnTightEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pen := newPenalty([]expr.Atom{a}, Options{}.withDefaults())
-	box := expr.Box{"x": interval.New(0, 10)}
-	x, _ := polish(context.Background(), pen, expr.Env{"x": 1.3}, box, Options{}.withDefaults())
-	if math.Abs(x["x"]-math.Sqrt2) > 1e-7 {
-		t.Fatalf("x = %v, want √2", x["x"])
+	pen := newPenalty([]expr.Atom{a}, []string{"x"}, Options{}.withDefaults())
+	x := []float64{1.3}
+	polish(context.Background(), pen, x, []interval.Interval{interval.New(0, 10)}, Options{}.withDefaults())
+	if math.Abs(x[0]-math.Sqrt2) > 1e-7 {
+		t.Fatalf("x = %v, want √2", x[0])
 	}
 }
 
@@ -101,10 +101,10 @@ func TestPolishRespectsBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pen := newPenalty([]expr.Atom{a}, Options{}.withDefaults())
-	box := expr.Box{"x": interval.New(0, 5)}
-	x, _ := polish(context.Background(), pen, expr.Env{"x": 2}, box, Options{}.withDefaults())
-	if x["x"] < 0 || x["x"] > 5 {
-		t.Fatalf("x = %v escaped the box", x["x"])
+	pen := newPenalty([]expr.Atom{a}, []string{"x"}, Options{}.withDefaults())
+	x := []float64{2}
+	polish(context.Background(), pen, x, []interval.Interval{interval.New(0, 5)}, Options{}.withDefaults())
+	if x[0] < 0 || x[0] > 5 {
+		t.Fatalf("x = %v escaped the box", x[0])
 	}
 }

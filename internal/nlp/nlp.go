@@ -21,6 +21,7 @@ package nlp
 
 import (
 	"context"
+	"maps"
 	"math"
 	"math/rand"
 	"sort"
@@ -154,16 +155,8 @@ func Solve(p *Problem, opt Options) Result {
 // search proves nothing).
 func SolveContext(ctx context.Context, p *Problem, opt Options) Result {
 	opt = opt.withDefaults()
-
-	box := p.Box.Clone()
-	if box == nil {
-		box = expr.Box{}
-	}
-	for _, v := range p.Vars() {
-		if _, ok := box[v]; !ok {
-			box[v] = interval.Whole()
-		}
-	}
+	vars := p.Vars()
+	box := searchBox(p.Box, vars)
 
 	// Phase 1: interval propagation for refutation and search-space
 	// contraction.
@@ -175,41 +168,76 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) Result {
 		return Result{Status: Unknown, ContractedBox: box}
 	}
 
-	// Phase 2: multi-start penalty descent.
-	pen := newPenalty(p.Atoms, opt)
+	// Phase 2: multi-start penalty descent over slot-indexed points; the
+	// slot table is vars, and clamp holds each slot's interval.
+	pen := newPenalty(p.Atoms, vars, opt)
+	clamp := make([]interval.Interval, len(vars))
+	for i, v := range vars {
+		if clamp[i] = box[v]; clamp[i].IsEmpty() {
+			clamp[i] = interval.Whole()
+		}
+	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-	vars := p.Vars()
+	x := make([]float64, len(vars))
+	env := make(expr.Env, len(vars))
+	witness := func() bool {
+		for i, v := range vars {
+			env[v] = x[i]
+		}
+		return verify(p.Atoms, env, opt)
+	}
 	evals := 0
 
 	for start := 0; start < opt.Starts; start++ {
 		if ctx.Err() != nil {
 			return Result{Status: Unknown, ContractedBox: box, Evals: evals}
 		}
-		x := samplePoint(vars, box, rng, opt.DefaultRange, start)
-		x, e := descend(ctx, pen, x, box, opt)
+		samplePoint(x, vars, box, rng, opt.DefaultRange, start)
+		ok, e := descend(ctx, pen, x, clamp, opt)
 		evals += e
-		if x == nil {
+		if !ok {
 			continue
 		}
-		if verify(p.Atoms, x, opt) {
-			return Result{Status: Feasible, X: x, ContractedBox: box, Evals: evals}
+		if witness() {
+			return Result{Status: Feasible, X: maps.Clone(env), ContractedBox: box, Evals: evals}
 		}
 		// Gradient descent gets close; Levenberg-Marquardt finishes the job
 		// on tight (near-)equalities.
-		x, e = polish(ctx, pen, x, box, opt)
-		evals += e
-		if verify(p.Atoms, x, opt) {
-			return Result{Status: Feasible, X: x, ContractedBox: box, Evals: evals}
+		evals += polish(ctx, pen, x, clamp, opt)
+		if witness() {
+			return Result{Status: Feasible, X: maps.Clone(env), ContractedBox: box, Evals: evals}
 		}
 	}
 	return Result{Status: Unknown, ContractedBox: box, Evals: evals}
 }
 
-// samplePoint draws a start point. The first start uses box midpoints (a
-// good deterministic guess); later starts are uniform in the clamped box.
-func samplePoint(vars []string, box expr.Box, rng *rand.Rand, rangeClamp float64, start int) expr.Env {
-	x := make(expr.Env, len(vars))
+// Refutes reports whether interval propagation alone, at the default
+// round budget, proves the atoms infeasible over box: the refutation
+// SolveContext reports as Infeasible, without the witness search.
+// Cancellation reports false.
+func Refutes(ctx context.Context, atoms []expr.Atom, box expr.Box) bool {
+	p := &Problem{Atoms: atoms, Box: box}
+	empty, _ := contract(ctx, atoms, searchBox(box, p.Vars()), Options{}.withDefaults().PropagationRounds)
+	return empty
+}
+
+// searchBox clones box and makes every variable of vars missing from it
+// unbounded.
+func searchBox(box expr.Box, vars []string) expr.Box {
+	out := box.Clone()
 	for _, v := range vars {
+		if _, ok := out[v]; !ok {
+			out[v] = interval.Whole()
+		}
+	}
+	return out
+}
+
+// samplePoint draws a start point into x, slot i being vars[i]. The first
+// start uses box midpoints (a good deterministic guess); later starts are
+// uniform in the clamped box.
+func samplePoint(x []float64, vars []string, box expr.Box, rng *rand.Rand, rangeClamp float64, start int) {
+	for i, v := range vars {
 		iv := box[v]
 		lo, hi := iv.Lo, iv.Hi
 		if math.IsInf(lo, -1) {
@@ -222,12 +250,11 @@ func samplePoint(vars []string, box expr.Box, rng *rand.Rand, rangeClamp float64
 			lo, hi = hi, lo
 		}
 		if start == 0 {
-			x[v] = lo + (hi-lo)/2
+			x[i] = lo + (hi-lo)/2
 		} else {
-			x[v] = lo + rng.Float64()*(hi-lo)
+			x[i] = lo + rng.Float64()*(hi-lo)
 		}
 	}
-	return x
 }
 
 // verify checks a candidate witness against every atom: non-strict atoms
