@@ -1034,7 +1034,7 @@ func (e *Engine) theoryCheck(ctx context.Context, model []bool) theoryVerdict {
 				for v := range e.intVars {
 					env[v] = math.Round(env[v])
 				}
-				if verifyAsserted(asserted, env) {
+				if e.acceptWitness(asserted, env) {
 					return theoryVerdict{kind: thSat, env: env}
 				}
 			}
@@ -1059,10 +1059,11 @@ func (e *Engine) theoryCheck(ctx context.Context, model []bool) theoryVerdict {
 				env[v] = math.Round(val)
 			}
 		}
-		if verifyAsserted(asserted, env) {
+		if e.acceptWitness(asserted, env) {
 			return theoryVerdict{kind: thSat, env: env}
 		}
-		// The rounded witness broke an atom: the assignment is undecided.
+		// The rounded witness broke an atom or left the bounds: the
+		// assignment is undecided.
 		// Give the abstraction-refinement fallback a chance before
 		// degrading to a lossy block.
 		if v, ok := e.polyARFallback(ctx, atoms, lits, asserted); ok {
@@ -1116,7 +1117,7 @@ func (e *Engine) polyARFallback(ctx context.Context, atoms []expr.Atom, lits []i
 				env[v] = math.Round(val)
 			}
 		}
-		if verifyAsserted(asserted, env) {
+		if e.acceptWitness(asserted, env) {
 			e.st.NLPUnknownRescued++
 			e.tracePolyAR(res.Stats)
 			return theoryVerdict{kind: thSat, env: env}, true
@@ -1273,6 +1274,16 @@ func verifyAsserted(asserted []assertedAtom, env expr.Env) bool {
 	return true
 }
 
+// acceptWitness is the acceptance test for a nonlinear solver's witness:
+// every asserted atom holds and, as Problem.Check demands of a model,
+// every value respects the problem's bounds.
+func (e *Engine) acceptWitness(asserted []assertedAtom, env expr.Env) bool {
+	if _, out := outOfBounds(e.p.Bounds, env); out {
+		return false
+	}
+	return verifyAsserted(asserted, env)
+}
+
 // violatedNE returns the disequalities that fail at x.
 func violatedNE(neqs []assertedAtom, x map[string]float64) []assertedAtom {
 	var out []assertedAtom
@@ -1294,11 +1305,7 @@ func violatedNE(neqs []assertedAtom, x map[string]float64) []assertedAtom {
 // the full set is not propagation-refutable (the verdict came from a
 // richer argument), the full literal set is returned.
 func (e *Engine) minimizeNonlinearConflict(ctx context.Context, atoms []expr.Atom, lits []int) []int {
-	refuted := func(sub []expr.Atom) bool {
-		p := &nlp.Problem{Atoms: sub, Box: e.p.Bounds}
-		r := nlp.SolveContext(ctx, p, nlp.Options{Starts: 1, MaxIters: 1})
-		return r.Status == nlp.Infeasible
-	}
+	refuted := func(sub []expr.Atom) bool { return nlp.Refutes(ctx, sub, e.p.Bounds) }
 	if !refuted(atoms) {
 		return lits
 	}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"absolver/internal/expr"
+	"absolver/internal/nlp"
 )
 
 func atomT(t *testing.T, src string, dom expr.Domain) expr.Atom {
@@ -571,5 +573,49 @@ func TestWithKnobsOR(t *testing.T) {
 				t.Errorf("%s base with %s added: %b, want %b", kn.Name, Knobs[j].Name, got, want)
 			}
 		}
+	}
+}
+
+// TestNonlinearWitnessInsideBounds: the penalty solver's start point x=0
+// is outside 1/x's domain, and its nudge off the singularity used to move
+// the point-bounded y and z out of their boxes, giving the model
+// y=2.001, z=0.001 that Problem.Check rejects.
+func TestNonlinearWitnessInsideBounds(t *testing.T) {
+	p := NewProblem()
+	p.AddClause(1)
+	p.AddClause(2)
+	p.Bind(0, atomT(t, "1/x >= -10", expr.Real))
+	p.Bind(1, atomT(t, "z*z <= 1", expr.Real))
+	p.SetBounds("x", -1, 1)
+	p.SetBounds("y", 2, 2)
+	p.SetBounds("z", 0, 0)
+	requireSat(t, p, Config{})
+}
+
+// escapingSolver answers every check with a witness that satisfies the
+// atoms but puts x outside its bounds.
+type escapingSolver struct{}
+
+func (escapingSolver) Name() string { return "escaping" }
+
+func (escapingSolver) Check(context.Context, []expr.Atom, expr.Box, expr.Env) NonlinearVerdict {
+	return NonlinearVerdict{Status: nlp.Feasible, X: expr.Env{"x": 3}}
+}
+
+// TestEngineRejectsWitnessOutsideBounds: a nonlinear witness outside the
+// declared bounds is not a model; the engine hands the check on to its
+// fallback instead of answering SAT with it.
+func TestEngineRejectsWitnessOutsideBounds(t *testing.T) {
+	p := NewProblem()
+	p.AddClause(1)
+	p.Bind(0, atomT(t, "x * x >= 4", expr.Real))
+	p.SetBounds("x", 0, 2.5)
+	m := requireSat(t, p, Config{Nonlinear: escapingSolver{}})
+	if m.Real["x"] == 3 {
+		t.Fatal("out-of-bounds witness accepted")
+	}
+	res := solveP(t, p, Config{Nonlinear: escapingSolver{}, NoPolyAR: true})
+	if res.Status == StatusSat {
+		t.Fatalf("sat with model %v from an out-of-bounds witness", res.Model.Real)
 	}
 }

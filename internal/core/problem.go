@@ -250,14 +250,8 @@ func (p *Problem) Check(m Model) error {
 			return fmt.Errorf("core: binding %d inconsistent: var=%v but atom %s does not match at %v", v+1, want, a, m.Real)
 		}
 	}
-	for name, iv := range p.Bounds {
-		x, ok := m.Real[name]
-		if !ok {
-			continue
-		}
-		if x < iv.Lo-1e-6 || x > iv.Hi+1e-6 {
-			return fmt.Errorf("core: %s = %g outside bounds %v", name, x, iv)
-		}
+	if name, ok := outOfBounds(p.Bounds, m.Real); ok {
+		return fmt.Errorf("core: %s = %g outside bounds %v", name, m.Real[name], p.Bounds[name])
 	}
 	for name := range p.IntVars() {
 		x, ok := m.Real[name]
@@ -269,6 +263,21 @@ func (p *Problem) Check(m Model) error {
 		}
 	}
 	return nil
+}
+
+// outOfBounds returns a variable whose value in env lies outside its
+// bounds by more than 1e-6; variables env does not assign are skipped.
+func outOfBounds(bounds expr.Box, env expr.Env) (string, bool) {
+	for name, iv := range bounds {
+		x, ok := env[name]
+		if !ok {
+			continue
+		}
+		if x < iv.Lo-1e-6 || x > iv.Hi+1e-6 {
+			return name, true
+		}
+	}
+	return "", false
 }
 
 // holdsForCheck applies the acceptance tolerances used across the engine:

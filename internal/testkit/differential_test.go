@@ -4,13 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"testing"
 
 	"absolver/internal/baseline"
 	"absolver/internal/core"
 	"absolver/internal/expr"
-	"absolver/internal/nlp"
+	"absolver/internal/lp"
 	"absolver/internal/portfolio"
 )
 
@@ -168,31 +167,33 @@ func TestDifferentialPortfolio(t *testing.T) {
 	}
 }
 
-// forgingNonlinear fabricates a witness that satisfies the atoms but lies
+// forgingLinear fabricates a witness that satisfies the rows but lies
 // outside the problem's bounds — the kind of bug CheckModels exists to
-// catch (the engine's inline verification checks atoms only; the
-// certificate also replays clauses, bounds and integrality).
-type forgingNonlinear struct{}
+// catch (the engine's inline verification of a linear witness checks
+// atoms only; the certificate also replays clauses, bounds and
+// integrality). A nonlinear witness outside the bounds no longer gets
+// this far: the engine rejects it inline.
+type forgingLinear struct{}
 
-func (forgingNonlinear) Name() string { return "forging" }
+func (forgingLinear) Name() string { return "forging" }
 
-func (forgingNonlinear) Check(ctx context.Context, atoms []expr.Atom, box expr.Box, hint expr.Env) core.NonlinearVerdict {
-	// sin(x) = 1 here, so "sin(x) >= 0.5" holds — but x is far outside the
-	// declared bounds [-2, 2].
-	return core.NonlinearVerdict{Status: nlp.Feasible, X: expr.Env{"x": math.Pi / 2 * 5}}
+func (forgingLinear) Check(context.Context, []lp.Constraint, map[string]float64, map[string]float64, map[string]bool) core.LinearVerdict {
+	// x = 5 satisfies "x >= 1" but lies outside the declared bounds
+	// [-2, 2].
+	return core.LinearVerdict{Status: lp.Feasible, X: map[string]float64{"x": 5}}
 }
 
 // TestCheckModelsRejectsForgedModel pins the CheckModels contract from the
-// rejection side: an engine whose nonlinear solver fabricates witnesses
+// rejection side: an engine whose theory solver fabricates witnesses
 // must surface ErrModelRejected instead of returning the bogus SAT.
 func TestCheckModelsRejectsForgedModel(t *testing.T) {
 	p := core.NewProblem()
 	p.SetBounds("x", -2, 2)
-	p.Bind(0, mustAtom(t, "sin(x) >= 0.5", expr.Real))
+	p.Bind(0, mustAtom(t, "x >= 1", expr.Real))
 	p.AddClause(1)
 	eng := core.NewEngine(p, core.Config{
 		CheckModels: true,
-		Nonlinear:   forgingNonlinear{},
+		Linear:      forgingLinear{},
 	})
 	res, err := eng.Solve()
 	if !errors.Is(err, core.ErrModelRejected) {
