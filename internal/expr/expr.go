@@ -4,8 +4,9 @@
 // and sqrt extensions the paper describes as "straightforward" — and
 // comparison atoms over such terms.
 //
-// The package provides evaluation over point environments, evaluation over
-// interval boxes (used by the nonlinear refutation engine), symbolic
+// The package provides evaluation over point environments (and, compiled
+// once to a Tape, over slot-indexed points), evaluation over interval
+// boxes (used by the nonlinear refutation engine), symbolic
 // differentiation (used by the penalty-method nonlinear solver), linearity
 // analysis (used to dispatch atoms to the linear or the nonlinear solver),
 // simplification, and an infix parser for the textual form used in the

@@ -9,9 +9,10 @@
 //     projection). If the box becomes empty the conjunction is proved
 //     infeasible — a refutation IPOPT itself cannot produce, needed for the
 //     paper's nonlinear_unsat benchmark.
-//   - A multi-start penalty method with symbolic gradients and Armijo line
-//     search searches for a feasible witness, playing IPOPT's role of
-//     finding points satisfying smooth nonlinear systems.
+//   - A multi-start penalty method with symbolic gradients, compiled once
+//     per check to slot-indexed tapes, and Armijo line search searches for
+//     a feasible witness, playing IPOPT's role of finding points
+//     satisfying smooth nonlinear systems.
 //
 // Like the IPOPT-based original, the combination is incomplete: when
 // neither a witness nor a refutation is found within budget, the verdict is
