@@ -65,6 +65,7 @@ import (
 	"absolver"
 	"absolver/internal/core"
 	"absolver/internal/portfolio"
+	"absolver/internal/server/api"
 )
 
 // Stable exit codes; keep in sync with docs/exit-codes.md.
@@ -224,11 +225,6 @@ func runBatchFile(p *absolver.Problem, cfg absolver.Config, path string, quiet, 
 		return exitInternal
 	}
 
-	type instance struct {
-		ID      string  `json:"id"`
-		Clauses [][]int `json:"clauses"`
-		Assume  []int   `json:"assume"`
-	}
 	ctx := context.Background()
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
@@ -240,7 +236,7 @@ func runBatchFile(p *absolver.Problem, cfg absolver.Config, path string, quiet, 
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
-		var inst instance
+		var inst api.BatchInstance
 		if err := json.Unmarshal([]byte(text), &inst); err != nil {
 			fmt.Fprintf(stderr, "absolver: %s:%d: %v\n", path, line, err)
 			return exitUsage
@@ -251,24 +247,7 @@ func runBatchFile(p *absolver.Problem, cfg absolver.Config, path string, quiet, 
 		}
 		fmt.Fprintf(stdout, "c instance %s\n", name)
 
-		sess.Push()
-		assertErr := error(nil)
-		for _, cl := range inst.Clauses {
-			if assertErr = sess.AssertClause(cl...); assertErr != nil {
-				break
-			}
-		}
-		if assertErr != nil {
-			_ = sess.Pop()
-			fmt.Fprintf(stderr, "absolver: instance %s: %v\n", name, assertErr)
-			failures++
-			idx++
-			continue
-		}
-		res, err := sess.SolveUnderAssumptions(ctx, inst.Assume)
-		if perr := sess.Pop(); perr != nil && err == nil {
-			err = perr
-		}
+		res, err := sess.SolveFrame(ctx, inst.Clauses, inst.Assume)
 		if err != nil && !errors.Is(err, absolver.ErrTimeout) {
 			fmt.Fprintf(stderr, "absolver: instance %s: %v\n", name, err)
 			failures++

@@ -77,18 +77,11 @@ func RunIncremental(nProc int, timeout time.Duration) ([]IncrementalRow, error) 
 	}
 	ctx := context.Background()
 	for i, lit := range lits {
-		sess.Push()
-		if err := sess.AssertClause(lit); err != nil {
-			return nil, err
-		}
 		start := time.Now()
-		res, err := sess.Solve(ctx)
+		res, err := sess.SolveFrame(ctx, [][]int{{lit}}, nil)
 		rows[i].Session = Cell{
 			Time: time.Since(start), Status: res.Status,
 			Checks: res.Stats.LinearChecks + res.Stats.NonlinearChecks,
-		}
-		if perr := sess.Pop(); perr != nil && err == nil {
-			err = perr
 		}
 		if err == core.ErrTimeout {
 			rows[i].Session.Note = "timeout"

@@ -928,7 +928,6 @@ func (e *Engine) theoryCheck(ctx context.Context, model []bool) theoryVerdict {
 
 	// Partition into linear rows, linear disequalities, and nonlinear atoms.
 	var rows []lp.Constraint
-	var rowLits []int
 	var neqs []assertedAtom
 	var nonlinear []assertedAtom
 	for _, aa := range asserted {
@@ -941,9 +940,8 @@ func (e *Engine) theoryCheck(ctx context.Context, model []bool) theoryVerdict {
 			neqs = append(neqs, aa)
 			continue
 		}
-		row := linearRow(la, aa.atom.Domain, e.intVars)
+		row := linearRow(la, e.intVars)
 		row.Tag = aa.lit
-		rowLits = append(rowLits, aa.lit)
 		rows = append(rows, row)
 	}
 
@@ -967,17 +965,18 @@ func (e *Engine) theoryCheck(ctx context.Context, model []bool) theoryVerdict {
 
 	if len(nonlinear) == 0 {
 		env := e.defaultEnv(x)
-		if verifyAsserted(asserted, env) {
+		if e.acceptWitness(asserted, env) {
 			return theoryVerdict{kind: thSat, env: env}
 		}
 		// The completed environment broke an atom the witness left
 		// unconstrained (e.g. a disequality over a variable with no weak
-		// row). Escalate to the nonlinear solver, which handles the full
-		// conjunction natively.
+		// row), or the linear plug-in's witness left the bounds. Escalate
+		// to the nonlinear solver, which handles the full conjunction
+		// natively.
 	}
 
 	// Nonlinear stage: the output pin is "?" — consult the nonlinear
-	// solver on the joint system (nonlinear atoms plus the linear
+	// solvers on the joint system (nonlinear atoms plus the linear
 	// conjunction, since they share variables).
 	atoms := make([]expr.Atom, 0, len(asserted))
 	lits := make([]int, 0, len(asserted))
@@ -985,153 +984,132 @@ func (e *Engine) theoryCheck(ctx context.Context, model []bool) theoryVerdict {
 		atoms = append(atoms, aa.atom)
 		lits = append(lits, aa.lit)
 	}
-	for _, aa := range asserted {
-		if aa.atom.Op == expr.CmpNE {
-			if _, ok := expr.LinearizeAtom(aa.atom); ok {
-				atoms = append(atoms, aa.atom)
-				lits = append(lits, aa.lit)
-			}
-			continue
-		}
+	for _, aa := range neqs {
+		atoms = append(atoms, aa.atom)
+		lits = append(lits, aa.lit)
 	}
-	for i, r := range rows {
-		_ = r
+	for _, r := range rows {
 		// Re-assert linear atoms in atom form for the joint check.
-		atoms = append(atoms, atomOfLit(e.p, rowLits[i]))
-		lits = append(lits, rowLits[i])
+		atoms = append(atoms, atomOfLit(e.p, r.Tag))
+		lits = append(lits, r.Tag)
 	}
 
-	hint := envFromLP(x)
 	startNL := time.Now()
 	defer func() { e.st.NonlinearTime += time.Since(startNL) }()
 	e.st.NonlinearChecks++
+	v := e.escalate(ctx, atoms, asserted, x)
+	switch v.kind {
+	case thConflict:
+		core := lits
+		if !e.cfg.NoIIS {
+			core = e.minimizeNonlinearConflict(ctx, atoms, lits)
+		}
+		v.conflict = negate(core)
+	case thLossyBlock:
+		v.conflict = negate(allLits(asserted))
+	}
+	return v
+}
 
-	// The nonlinear solver is integrality-blind. When the linear stage
-	// pinned integer variables to integral values, freeze them (point
-	// boxes) so the nonlinear search ranges only over the continuous part.
-	if len(e.intVars) > 0 && x != nil {
-		pinned := e.p.Bounds.Clone()
-		if pinned == nil {
-			pinned = expr.Box{}
+// escalate runs the nonlinear solvers in the paper's Sec. 4 fallback
+// order, each only while the ones before it left the check undecided:
+//
+//  1. Config.Nonlinear with the integer variables pinned to the linear
+//     stage's rounded values (the nonlinear solver is integrality-blind).
+//     Only a witness counts here: a refutation under pinned integers says
+//     nothing about other integer values.
+//  2. Config.Nonlinear over the problem's bounds.
+//  3. PolyAR's convex abstraction refinement, unless Config.NoPolyAR. A
+//     definitive answer here is an NLPUnknown rescue.
+//
+// A witness counts only once acceptWitness has passed it; a rejected one
+// leaves the check undecided, like Unknown. The verdict's kind is thSat
+// (with the accepted environment), thConflict (the joint atom set is
+// refuted; the caller builds the clause), thLossyBlock (undecided) or
+// thCanceled. Sound by construction: PolyAR prunes a region only when its
+// LP relaxation (a superset of the true solution set) is empty.
+//
+// PolyAR stays an engine stage rather than a member of Config.Nonlinear
+// so that replacing or wrapping the nonlinear plug-in keeps it.
+func (e *Engine) escalate(ctx context.Context, atoms []expr.Atom, asserted []assertedAtom, x map[string]float64) theoryVerdict {
+	hint := envFromLP(x)
+	if box := e.pinnedBox(x); box != nil {
+		v := e.cfg.Nonlinear.Check(ctx, atoms, box, hint)
+		if ctx.Err() != nil {
+			return theoryVerdict{kind: thCanceled}
 		}
-		anyPin := false
-		for v := range e.intVars {
-			if val, ok := x[v]; ok {
-				pinned[v] = interval.Point(math.Round(val))
-				anyPin = true
-			}
-		}
-		if anyPin {
-			verdict := e.cfg.Nonlinear.Check(ctx, atoms, pinned, hint)
-			if ctx.Err() != nil {
-				return theoryVerdict{kind: thCanceled}
-			}
-			if verdict.Status == nlp.Feasible {
-				env := e.defaultEnv(nil)
-				for k, v := range verdict.X {
-					env[k] = v
-				}
-				for v := range e.intVars {
-					env[v] = math.Round(env[v])
-				}
-				if e.acceptWitness(asserted, env) {
-					return theoryVerdict{kind: thSat, env: env}
-				}
-			}
-			// Infeasible or Unknown under pinned integers proves nothing
-			// about the assignment (other integer values may work): fall
-			// through to the unpinned check.
+		if env, ok := e.nonlinearWitness(asserted, v.Status, v.X); ok {
+			return theoryVerdict{kind: thSat, env: env}
 		}
 	}
-
-	verdict := e.cfg.Nonlinear.Check(ctx, atoms, e.p.Bounds, hint)
+	v := e.cfg.Nonlinear.Check(ctx, atoms, e.p.Bounds, hint)
 	if ctx.Err() != nil {
 		return theoryVerdict{kind: thCanceled}
 	}
-	switch verdict.Status {
-	case nlp.Feasible:
-		env := e.defaultEnv(nil)
-		for k, v := range verdict.X {
-			env[k] = v
-		}
-		for v := range e.intVars {
-			if val, ok := env[v]; ok {
-				env[v] = math.Round(val)
-			}
-		}
-		if e.acceptWitness(asserted, env) {
-			return theoryVerdict{kind: thSat, env: env}
-		}
-		// The rounded witness broke an atom or left the bounds: the
-		// assignment is undecided.
-		// Give the abstraction-refinement fallback a chance before
-		// degrading to a lossy block.
-		if v, ok := e.polyARFallback(ctx, atoms, lits, asserted); ok {
-			return v
-		}
-		return theoryVerdict{kind: thLossyBlock, conflict: negate(allLits(asserted))}
-	case nlp.Infeasible:
-		core := e.minimizeNonlinearConflict(ctx, atoms, lits)
-		if e.cfg.NoIIS {
-			core = lits
-		}
-		return theoryVerdict{kind: thConflict, conflict: negate(core)}
-	default:
-		if v, ok := e.polyARFallback(ctx, atoms, lits, asserted); ok {
-			return v
-		}
-		return theoryVerdict{kind: thLossyBlock, conflict: negate(allLits(asserted))}
+	if env, ok := e.nonlinearWitness(asserted, v.Status, v.X); ok {
+		return theoryVerdict{kind: thSat, env: env}
 	}
-}
+	if v.Status == nlp.Infeasible {
+		return theoryVerdict{kind: thConflict}
+	}
 
-// polyARFallback escalates a nonlinear check the penalty solver left
-// undecided to internal/polyar's convex abstraction refinement. It
-// reports (verdict, true) when refinement reached a definitive answer —
-// a verified witness (thSat) or an exhaustive refutation of the joint
-// atom set (thConflict over exactly those atoms' literals) — and
-// (_, false) when refinement also ran out of budget, in which case the
-// caller falls back to the lossy block. Sound by construction: polyar
-// prunes a region only when its LP relaxation (a superset of the true
-// solution set) is empty, and its witnesses are re-verified here against
-// every asserted atom.
-func (e *Engine) polyARFallback(ctx context.Context, atoms []expr.Atom, lits []int, asserted []assertedAtom) (theoryVerdict, bool) {
 	e.st.NLPUnknown++
 	if e.cfg.NoPolyAR {
-		return theoryVerdict{}, false
+		return theoryVerdict{kind: thLossyBlock}
 	}
 	res := polyar.Solve(ctx, atoms, e.p.Bounds, e.intVars, e.cfg.PolyAR)
 	e.st.PolyARRegions += res.Stats.Regions
 	e.st.PolyARPruned += res.Stats.Pruned
 	e.st.PolyARWitnesses += res.Stats.Witnesses
 	if ctx.Err() != nil {
-		return theoryVerdict{kind: thCanceled}, true
+		return theoryVerdict{kind: thCanceled}
 	}
-	switch res.Status {
-	case nlp.Feasible:
-		env := e.defaultEnv(nil)
-		for k, v := range res.X {
-			env[k] = v
-		}
-		for v := range e.intVars {
-			if val, ok := env[v]; ok {
-				env[v] = math.Round(val)
+	env, ok := e.nonlinearWitness(asserted, res.Status, res.X)
+	if !ok && res.Status != nlp.Infeasible {
+		return theoryVerdict{kind: thLossyBlock}
+	}
+	e.st.NLPUnknownRescued++
+	e.tracePolyAR(res.Stats)
+	if ok {
+		return theoryVerdict{kind: thSat, env: env}
+	}
+	return theoryVerdict{kind: thConflict}
+}
+
+// pinnedBox returns the problem's bounds with every integer variable the
+// linear witness x assigns frozen at its rounded value, or nil when there
+// is nothing to pin.
+func (e *Engine) pinnedBox(x map[string]float64) expr.Box {
+	var pinned expr.Box
+	for v := range e.intVars {
+		if val, ok := x[v]; ok {
+			if pinned == nil {
+				pinned = e.p.Bounds.Clone()
 			}
+			pinned[v] = interval.Point(math.Round(val))
 		}
-		if e.acceptWitness(asserted, env) {
-			e.st.NLPUnknownRescued++
-			e.tracePolyAR(res.Stats)
-			return theoryVerdict{kind: thSat, env: env}, true
-		}
-	case nlp.Infeasible:
-		e.st.NLPUnknownRescued++
-		e.tracePolyAR(res.Stats)
-		core := lits
-		if !e.cfg.NoIIS {
-			core = e.minimizeNonlinearConflict(ctx, atoms, lits)
-		}
-		return theoryVerdict{kind: thConflict, conflict: negate(core)}, true
 	}
-	return theoryVerdict{}, false
+	return pinned
+}
+
+// nonlinearWitness completes a nonlinear solver's witness x into a full
+// environment (defaultEnv for the variables it leaves out, integer
+// variables rounded) and reports whether the result passes acceptWitness.
+// A status other than Feasible is never a witness.
+func (e *Engine) nonlinearWitness(asserted []assertedAtom, st nlp.Status, x expr.Env) (expr.Env, bool) {
+	if st != nlp.Feasible {
+		return nil, false
+	}
+	env := e.defaultEnv(nil)
+	for k, v := range x {
+		env[k] = v
+	}
+	for v := range e.intVars {
+		if val, ok := env[v]; ok {
+			env[v] = math.Round(val)
+		}
+	}
+	return env, e.acceptWitness(asserted, env)
 }
 
 func (e *Engine) tracePolyAR(st polyar.Stats) {
@@ -1221,7 +1199,7 @@ func (e *Engine) neSplit(ctx context.Context, rows []lp.Constraint, neqs []asser
 	for _, side := range []expr.CmpOp{expr.CmpLT, expr.CmpGT} {
 		sideAtomLA := la
 		sideAtomLA.Op = side
-		row := linearRow(sideAtomLA, aa.atom.Domain, e.intVars)
+		row := linearRow(sideAtomLA, e.intVars)
 		row.Tag = aa.lit
 		st, x, c := e.neSplit(ctx, append(rows[:len(rows):len(rows)], row), neqs, budget)
 		if st == lp.Feasible {
@@ -1335,8 +1313,7 @@ func (e *Engine) minimizeNonlinearConflict(ctx context.Context, atoms []expr.Ato
 // integer-marked variables (regardless of the atom's declared domain — a
 // Real-domain atom over an elsewhere-integer variable still only admits
 // integer solutions), by lp.Epsilon otherwise.
-func linearRow(la expr.LinearAtom, dom expr.Domain, intVars map[string]bool) lp.Constraint {
-	_ = dom
+func linearRow(la expr.LinearAtom, intVars map[string]bool) lp.Constraint {
 	row := lp.Constraint{Coeffs: la.Form.Coeffs, RHS: la.Bound}
 	delta := lp.Epsilon
 	if integralRow(la, intVars) {

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"absolver/internal/expr"
+	"absolver/internal/lp"
 	"absolver/internal/nlp"
 )
 
@@ -614,5 +615,31 @@ func TestEngineRejectsWitnessOutsideBounds(t *testing.T) {
 	res := solveP(t, p, Config{Nonlinear: escapingSolver{}, NoPolyAR: true})
 	if res.Status == StatusSat {
 		t.Fatalf("sat with model %v from an out-of-bounds witness", res.Model.Real)
+	}
+}
+
+// escapingLinear answers every check with x = 5: it satisfies x >= 1 but
+// lies outside the declared bounds.
+type escapingLinear struct{}
+
+func (escapingLinear) Name() string { return "escaping-linear" }
+
+func (escapingLinear) Check(context.Context, []lp.Constraint, map[string]float64, map[string]float64, map[string]bool) LinearVerdict {
+	return LinearVerdict{Status: lp.Feasible, X: map[string]float64{"x": 5}}
+}
+
+// TestEngineRejectsLinearWitnessOutsideBounds is the linear twin of
+// TestEngineRejectsWitnessOutsideBounds: a linear plug-in's witness
+// outside the bounds is not a model either, so the check escalates to the
+// nonlinear stage instead of shipping x = 5.
+func TestEngineRejectsLinearWitnessOutsideBounds(t *testing.T) {
+	p := NewProblem()
+	p.AddClause(1)
+	p.Bind(0, atomT(t, "x >= 1", expr.Real))
+	p.SetBounds("x", -2, 2)
+	requireSat(t, p, Config{Linear: escapingLinear{}}) // the penalty solver finds x in [1, 2]
+	res := solveP(t, p, Config{Linear: escapingLinear{}, Nonlinear: unknowingNonlinear{}, NoPolyAR: true})
+	if res.Status == StatusSat {
+		t.Fatalf("sat with model %v from an out-of-bounds linear witness", res.Model.Real)
 	}
 }

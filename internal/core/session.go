@@ -155,6 +155,27 @@ func (s *Session) AssertClause(lits ...int) error {
 	return s.eng.addClauseLive(s.p.Clauses[len(s.p.Clauses)-1])
 }
 
+// SolveFrame solves one query in a frame of its own: Push, assert each
+// clause, SolveUnderAssumptions(assume), Pop. The frame is popped on
+// every path, an assertion failure included, so the session's depth is
+// the same on return as on entry; a Pop failure after the solve is
+// reported as the error. This is the batch primitive: a run of related
+// instances, each a clause delta plus assumptions over one base problem.
+func (s *Session) SolveFrame(ctx context.Context, clauses [][]int, assume []int) (Result, error) {
+	s.Push()
+	for _, cl := range clauses {
+		if err := s.AssertClause(cl...); err != nil {
+			_ = s.Pop() // the assertion error is the one to report
+			return Result{}, err
+		}
+	}
+	res, err := s.SolveUnderAssumptions(ctx, assume)
+	if perr := s.Pop(); perr != nil && err == nil {
+		err = perr
+	}
+	return res, err
+}
+
 // Assert binds atom a to a fresh Boolean variable and asserts it in the
 // innermost frame, returning the variable (1-based DIMACS). The binding is
 // permanent — Pop retracts the assertion, not the definition — so theory

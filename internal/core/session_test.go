@@ -390,3 +390,35 @@ func TestSessionSetBounds(t *testing.T) {
 		t.Fatal("SetBounds widened without error")
 	}
 }
+
+// TestSessionSolveFrameAfterAssertFailure: a frame whose clause list fails
+// to assert is popped anyway, so the depth is back to 0, the clauses
+// asserted before the failure are retracted, and the next frame solves
+// normally.
+func TestSessionSolveFrameAfterAssertFailure(t *testing.T) {
+	s, err := NewSession(sessionBase(t), Config{CheckModels: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	// ¬(x ≥ 5) and ¬(x ≤ 2) contradict the base clause; the empty clause
+	// then fails to assert.
+	if _, err := s.SolveFrame(ctx, [][]int{{-1}, {-2}, {}}, nil); err == nil {
+		t.Fatal("SolveFrame with an empty clause: nil error")
+	}
+	if d := s.Depth(); d != 0 {
+		t.Fatalf("depth after a failed frame = %d, want 0", d)
+	}
+	res, err := s.SolveFrame(ctx, nil, []int{1})
+	if err != nil || res.Status != StatusSat {
+		t.Fatalf("frame after the failure: %v %v, want sat", res.Status, err)
+	}
+	res, err = s.SolveFrame(ctx, [][]int{{-1}, {-2}}, nil)
+	if err != nil || res.Status != StatusUnsat {
+		t.Fatalf("contradicting frame: %v %v, want unsat", res.Status, err)
+	}
+	if d := s.Depth(); d != 0 {
+		t.Fatalf("depth after a solved frame = %d, want 0", d)
+	}
+}

@@ -219,27 +219,17 @@ func (s *Server) runBatch(j *job, wait time.Duration) {
 	send(api.BatchEvent{Type: api.EventEnd, Summary: &summary})
 }
 
-// solveBatchInstance runs one instance in its own frame: assert the delta
-// clauses, solve under the instance's assumptions, retract.
+// solveBatchInstance runs one instance in its own session frame
+// (Session.SolveFrame): assert the delta clauses, solve under the
+// instance's assumptions, retract.
 func (s *Server) solveBatchInstance(ctx context.Context, sess *core.Session, idx int, inst api.BatchInstance) (api.BatchItemResult, string, core.Stats) {
 	item := api.BatchItemResult{Index: idx, ID: inst.ID}
-	sess.Push()
-	for _, cl := range inst.Clauses {
-		if err := sess.AssertClause(cl...); err != nil {
-			_ = sess.Pop()
-			item.Error = err.Error()
-			return item, verdictError, core.Stats{}
-		}
-	}
-	res, err := sess.SolveUnderAssumptions(ctx, inst.Assume)
-	if perr := sess.Pop(); perr != nil && err == nil {
-		err = perr
-	}
+	res, err := sess.SolveFrame(ctx, inst.Clauses, inst.Assume)
 	resp, errResp := outcomeResponse(Outcome{Result: res}, err)
 	if errResp != nil {
 		item.Error = errResp.Error
-		return item, classify(res.Status, err), res.Stats
+	} else {
+		item.Result = &resp
 	}
-	item.Result = &resp
 	return item, classify(res.Status, err), res.Stats
 }

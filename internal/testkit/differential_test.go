@@ -30,15 +30,15 @@ func TestDifferentialEngineVsOracle(t *testing.T) {
 			for seed := int64(0); seed < seedsPerFragment; seed++ {
 				rep, err := RunDifferential(seed, frag, nil)
 				if err != nil {
-					t.Fatalf("reproduce with Generate(%d, testkit.Frag%s): %v", seed, titleName(frag), err)
+					t.Fatalf("reproduce with %s: %v", reproCall("RunDifferential", seed, frag), err)
 				}
 				if rep.Oracle != Inconclusive {
 					decided++
 				}
-				if rep.Oracle == Sat && rep.Engine == core.StatusSat {
+				if rep.Oracle == Sat && rep.Engine[0] == core.StatusSat {
 					agreedSat++
 				}
-				if rep.Oracle == Unsat && rep.Engine == core.StatusUnsat {
+				if rep.Oracle == Unsat && rep.Engine[0] == core.StatusUnsat {
 					agreedUnsat++
 				}
 			}
@@ -70,6 +70,17 @@ func titleName(f Fragment) string {
 		return "Nonlinear"
 	}
 	return fmt.Sprintf("ment(%d)", int(f))
+}
+
+// reproCall renders the runner call that reproduces a failing seed, for
+// example testkit.RunDifferential(7, testkit.FragNonlinear, nil,
+// core.KnobSet(0x0), core.KnobSet(0x20)).
+func reproCall(runner string, seed int64, frag Fragment, variants ...core.KnobSet) string {
+	call := fmt.Sprintf("testkit.%s(%d, testkit.Frag%s, nil", runner, seed, titleName(frag))
+	for _, k := range variants {
+		call += fmt.Sprintf(", core.KnobSet(%#x)", uint32(k))
+	}
+	return call + ")"
 }
 
 // TestDifferentialBaselinesLinear cross-checks the reimplemented
@@ -167,20 +178,19 @@ func TestDifferentialPortfolio(t *testing.T) {
 	}
 }
 
-// forgingLinear fabricates a witness that satisfies the rows but lies
-// outside the problem's bounds — the kind of bug CheckModels exists to
-// catch (the engine's inline verification of a linear witness checks
-// atoms only; the certificate also replays clauses, bounds and
-// integrality). A nonlinear witness outside the bounds no longer gets
-// this far: the engine rejects it inline.
+// forgingLinear fabricates a witness that satisfies the rows and the
+// bounds but gives the integer variable x a fractional value — the kind
+// of bug CheckModels exists to catch. The engine's inline acceptance of a
+// witness checks atoms and bounds only; the certificate also replays
+// integrality.
 type forgingLinear struct{}
 
 func (forgingLinear) Name() string { return "forging" }
 
 func (forgingLinear) Check(context.Context, []lp.Constraint, map[string]float64, map[string]float64, map[string]bool) core.LinearVerdict {
-	// x = 5 satisfies "x >= 1" but lies outside the declared bounds
-	// [-2, 2].
-	return core.LinearVerdict{Status: lp.Feasible, X: map[string]float64{"x": 5}}
+	// x = 1.5 satisfies "x >= 1" and the declared bounds [-2, 2], but x
+	// is an integer variable.
+	return core.LinearVerdict{Status: lp.Feasible, X: map[string]float64{"x": 1.5}}
 }
 
 // TestCheckModelsRejectsForgedModel pins the CheckModels contract from the
@@ -189,7 +199,7 @@ func (forgingLinear) Check(context.Context, []lp.Constraint, map[string]float64,
 func TestCheckModelsRejectsForgedModel(t *testing.T) {
 	p := core.NewProblem()
 	p.SetBounds("x", -2, 2)
-	p.Bind(0, mustAtom(t, "x >= 1", expr.Real))
+	p.Bind(0, mustAtom(t, "x >= 1", expr.Int))
 	p.AddClause(1)
 	eng := core.NewEngine(p, core.Config{
 		CheckModels: true,

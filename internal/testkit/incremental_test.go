@@ -9,38 +9,35 @@ import (
 
 // incrementalSeeds is sized so each fragment sees a spread of sat, unsat
 // and delta-flipped instances while the suite stays under a few seconds.
+// It covers the inprocessing suite's seeds too (inprocessingSeeds).
 const incrementalSeeds = 25
 
-// TestIncrementalDifferential drives the push/assert/solve/pop sequence
-// across every fragment and seed, with the theory cache both on and off:
-// session verdicts must match fresh-engine flattened solves and the
-// oracle at every step, pops must leave no contamination, and the two
-// cache modes must produce identical verdict sequences.
+// TestIncrementalDifferential drives the push/assert/solve/pop script
+// across every fragment and seed with three variants: the default
+// engine, the theory cache off and SAT inprocessing off. Session verdicts
+// must match fresh-engine flattened solves, the oracle and the other
+// variants at every step, and pops must leave no contamination — with
+// inprocessing on, that is the probe for a pass eating a guarded frame
+// clause.
 func TestIncrementalDifferential(t *testing.T) {
 	o := &Oracle{}
+	variants := []core.KnobSet{
+		0,
+		core.Config{NoTheoryCache: true}.KnobSet(),
+		core.Config{NoInprocess: true}.KnobSet(),
+	}
 	for frag := Fragment(0); frag < NumFragments; frag++ {
 		frag := frag
 		t.Run(frag.String(), func(t *testing.T) {
 			t.Parallel()
 			decided := 0
 			for seed := int64(0); seed < incrementalSeeds; seed++ {
-				cached, err := RunIncrementalDifferential(seed, frag, false, o)
+				rep, err := RunSessionDifferential(seed, frag, o, variants...)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("reproduce with %s: %v", reproCall("RunSessionDifferential", seed, frag, variants...), err)
 				}
-				uncached, err := RunIncrementalDifferential(seed, frag, true, o)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(cached.Steps) != len(uncached.Steps) {
-					t.Fatalf("seed=%d: step counts differ: %d vs %d", seed, len(cached.Steps), len(uncached.Steps))
-				}
-				for i := range cached.Steps {
-					a, b := cached.Steps[i].Session, uncached.Steps[i].Session
-					if a != core.StatusUnknown && b != core.StatusUnknown && a != b {
-						t.Fatalf("seed=%d step=%d: cache-on %v vs cache-off %v", seed, i, a, b)
-					}
-					if cached.Steps[i].Oracle != Inconclusive {
+				for _, st := range rep.Steps {
+					if st.Oracle != Inconclusive {
 						decided++
 					}
 				}

@@ -12,28 +12,26 @@ import (
 const inprocessingSeeds = 20
 
 // TestInprocessingDifferential runs the inprocessing-on/off/oracle
-// comparison — one-shot and session-interleaved — across every fragment
-// and seed. Zero disagreements is the acceptance bar: inprocessing is an
-// optimisation and must never move a verdict.
+// comparison on one-shot solves across every fragment and seed. Zero
+// disagreements is the acceptance bar: inprocessing is an optimisation and
+// must never move a verdict. The session-interleaved comparison, with
+// selector-guarded frame clauses live while inprocessing runs, is the
+// no_inprocess variant of TestIncrementalDifferential.
 func TestInprocessingDifferential(t *testing.T) {
 	o := &Oracle{}
+	variants := []core.KnobSet{0, core.Config{NoInprocess: true}.KnobSet()}
 	for frag := Fragment(0); frag < NumFragments; frag++ {
 		frag := frag
 		t.Run(frag.String(), func(t *testing.T) {
 			t.Parallel()
 			decided := 0
 			for seed := int64(0); seed < inprocessingSeeds; seed++ {
-				rep, err := RunInprocessingDifferential(seed, frag, o)
+				rep, err := RunDifferential(seed, frag, o, variants...)
 				if err != nil {
-					t.Fatal(err)
+					t.Fatalf("reproduce with %s: %v", reproCall("RunDifferential", seed, frag, variants...), err)
 				}
-				if rep.OneShot.Oracle != Inconclusive {
+				if rep.Oracle != Inconclusive {
 					decided++
-				}
-				for _, st := range rep.Steps {
-					if st.Oracle != Inconclusive {
-						decided++
-					}
 				}
 			}
 			if decided == 0 {

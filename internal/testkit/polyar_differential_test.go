@@ -7,9 +7,9 @@ import (
 )
 
 // polyarSeedsPerFragment sizes the PolyAR differential: 2 nonlinear-capable
-// fragments × 500 seeds, each solved twice (with and without the fallback)
-// plus the oracle. Smaller than the main differential because every seed
-// costs two engine runs.
+// fragments × 500 seeds, each solved by two variants (with and without the
+// fallback) plus the oracle. Smaller than the main differential because
+// every seed costs two engine runs.
 const polyarSeedsPerFragment = 500
 
 // TestDifferentialPolyAR is the PolyAR ablation differential: across the
@@ -19,23 +19,24 @@ const polyarSeedsPerFragment = 500
 // the fallback must not increase — and on the nonlinear fragment must
 // strictly decrease — the number of unknown verdicts.
 func TestDifferentialPolyAR(t *testing.T) {
+	variants := []core.KnobSet{0, core.Config{NoPolyAR: true}.KnobSet()}
 	for _, frag := range []Fragment{FragNonlinear, FragMixedInt} {
 		frag := frag
 		t.Run(frag.String(), func(t *testing.T) {
 			t.Parallel()
 			unknownWith, unknownWithout, rescued := 0, 0, 0
 			for seed := int64(0); seed < polyarSeedsPerFragment; seed++ {
-				rep, err := RunPolyARDifferential(seed, frag, nil)
+				rep, err := RunDifferential(seed, frag, nil, variants...)
 				if err != nil {
-					t.Fatalf("reproduce with RunPolyARDifferential(%d, testkit.Frag%s, nil): %v", seed, titleName(frag), err)
+					t.Fatalf("reproduce with %s: %v", reproCall("RunDifferential", seed, frag, variants...), err)
 				}
-				if rep.With == core.StatusUnknown {
+				if rep.Engine[0] == core.StatusUnknown {
 					unknownWith++
 				}
-				if rep.Without == core.StatusUnknown {
+				if rep.Engine[1] == core.StatusUnknown {
 					unknownWithout++
 				}
-				rescued += rep.Rescued
+				rescued += rep.Rescued[0]
 			}
 			t.Logf("%s: unknown with polyar %d/%d, without %d/%d, %d theory checks rescued",
 				frag, unknownWith, polyarSeedsPerFragment, unknownWithout, polyarSeedsPerFragment, rescued)
