@@ -375,27 +375,22 @@ func BenchmarkAblationSudokuEncoding(b *testing.B) {
 // the workload sessions exist for: a sweep of near-identical reachability
 // queries ("process 1 in its critical section at step t") over one Fischer
 // unrolling. Cold solves every query with a fresh engine on a flattened
-// problem; session answers the same sweep over one warm core.Session
-// (push/assert/solve/pop), so learned clauses and theory verdicts carry
+// problem; session answers the same sweep over one warm core.Session (one
+// SolveFrame per query), so learned clauses and theory verdicts carry
 // over. abbench -table incr prints the same sweep with per-query theory-
 // check counts (archived as BENCH_6.json).
 func BenchmarkAblationIncremental(b *testing.B) {
-	in := fischer.Generate(fischer.Params{N: 2})
-	var lits []int
-	for t := 1; t <= in.Params.Steps; t++ {
-		v, ok := in.Var(fmt.Sprintf("loc/1/%d/cs", t))
-		if !ok {
-			b.Fatalf("no cs variable for step %d", t)
-		}
-		lits = append(lits, v)
+	in, queries, err := bench.CriticalSectionSweep(2)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.Run("cold", func(b *testing.B) {
 		checks := 0
 		for i := 0; i < b.N; i++ {
-			for _, lit := range lits {
+			for _, q := range queries {
 				b.StopTimer()
 				p := in.Problem.Clone()
-				p.AddClause(lit)
+				p.AddClause(q.Lit)
 				b.StartTimer()
 				res, err := core.NewEngine(p, core.Config{}).Solve()
 				if err != nil {
@@ -415,19 +410,12 @@ func BenchmarkAblationIncremental(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			for _, lit := range lits {
-				sess.Push()
-				if err := sess.AssertClause(lit); err != nil {
-					b.Fatal(err)
-				}
-				res, err := sess.Solve(context.Background())
+			for _, q := range queries {
+				res, err := sess.SolveFrame(context.Background(), [][]int{{q.Lit}}, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				checks += res.Stats.LinearChecks + res.Stats.NonlinearChecks
-				if err := sess.Pop(); err != nil {
-					b.Fatal(err)
-				}
 			}
 		}
 		b.ReportMetric(float64(checks)/float64(b.N), "theory-checks/sweep")

@@ -1,15 +1,23 @@
-// Command abbench regenerates the paper's evaluation tables (Sec. 5):
+// Command abbench regenerates the paper's evaluation tables (Sec. 5) and
+// the ablations that measure this implementation's design choices:
 //
 //	abbench -table 1            # nonlinear problems (Table 1)
 //	abbench -table 2 -maxn 11   # SMT-LIB / Fischer benchmarks (Table 2)
 //	abbench -table 3            # Sudoku puzzles (Table 3)
-//	abbench -table incr         # incremental-session ablation (PR 6)
-//	abbench -table sat          # SAT-core arena/inprocessing ablation (PR 7)
-//	abbench -table check        # model-checking warm/cold ablation (PR 8)
-//	abbench -table cluster      # cube-and-conquer cluster ablation (PR 9)
-//	abbench -table nlp          # PolyAR nonlinear-fallback ablation (PR 10)
+//	abbench -table incr         # cold engines vs one warm session (table 6)
+//	abbench -table sat          # knob variants: default vs no_inprocess (table 7)
+//	abbench -table check        # model checking, warm vs cold per depth (table 8)
+//	abbench -table cluster      # one engine vs a loopback cluster (table 9)
+//	abbench -table nlp          # knob variants: no_polyar vs default (table 10)
 //	abbench -table all
 //	abbench -table all -json    # machine-readable rows (CI artifact)
+//
+// Every ablation prints in one layout: one line per instance, one column
+// per mode or knob variant (verdict, time, theory checks), the recorded
+// engine counters, and per-variant totals. The knob ablations (sat, nlp)
+// are a suite solved under labelled core.KnobSet variants of the default
+// engine; incr, check and cluster compare paths of other shapes (session,
+// model checker, cluster) over the same kind of rows.
 //
 // With -json the selected tables are emitted as a single JSON array of
 // per-solver rows (instance, verdict, wall time, theory checks) instead of
@@ -18,10 +26,10 @@
 //
 // -baseline FILE loads a previously committed artifact (BENCH_7.json) and
 // matches its "absolver-pre-arena" rows by instance name so the sat table
-// prints old-core-vs-new-core columns and re-emits the baseline rows in
-// its JSON output. -incr-budget R turns the incremental ablation into a CI
-// gate: if the session sweep needs more than R times the cold sweep's
-// theory checks the run exits with status 3.
+// prints an old-core column and re-emits the baseline rows in its JSON
+// output. -incr-budget R turns the incremental ablation into a CI gate: if
+// the session sweep needs more than R times the cold sweep's theory checks
+// the run exits with status 3.
 //
 // Absolute times will differ from the 2006 publication (different hardware
 // and reimplemented solvers); the shapes — who wins, who rejects, who runs
@@ -32,14 +40,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"absolver/internal/bench"
 )
 
 func main() {
-	table := flag.String("table", "all", "which table to regenerate: 1, 2, 3, incr, sat, check, cluster, nlp, or all")
-	maxN := flag.Int("maxn", 11, "largest Fischer instance for table 2")
+	maxN := flag.Int("maxn", 11, "largest Fischer instance for tables 2 and sat")
 	incrN := flag.Int("incr-n", 2, "Fischer process count for the incremental-session ablation")
 	clusterN := flag.Int("cluster-n", 3, "Fischer process count for the cluster ablation")
 	clusterPeers := flag.Int("cluster-peers", 2, "loopback worker servers for the cluster ablation")
@@ -49,6 +57,56 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit machine-readable JSON rows instead of tables")
 	baseline := flag.String("baseline", "", "prior -json artifact supplying old-core rows for the sat table")
 	incrBudget := flag.Float64("incr-budget", 0, "fail (exit 3) if session theory checks exceed this ratio of cold checks (0 disables)")
+
+	// tables is the registry: -table NAME runs one entry, -table all every
+	// entry marked all, in this order. cluster and nlp stay outside "all":
+	// the cluster boots live HTTP servers, the PolyAR ablation is archived
+	// separately as BENCH_10.json, and BENCH_5.json's row set is frozen.
+	var baseRows []bench.JSONRow
+	tables := []struct {
+		name string
+		all  bool
+		run  func() (bench.Table, error)
+	}{
+		{"1", true, func() (bench.Table, error) { return bench.RunTable1(*timeout) }},
+		{"2", true, func() (bench.Table, error) {
+			progress := os.Stdout
+			if *jsonOut {
+				progress = os.Stderr // stdout stays valid JSON
+			}
+			return bench.RunTable2(*maxN, *timeout, func(r bench.Row) {
+				fmt.Fprintf(progress, "# %-24s", r.Instance)
+				for _, c := range r.Cells {
+					fmt.Fprintf(progress, " %s=%-16s", c.Solver, c)
+				}
+				fmt.Fprintln(progress)
+			})
+		}},
+		{"3", true, func() (bench.Table, error) {
+			return bench.RunTable3(bench.Table3Options{Timeout: *timeout, CVCMemory: *cvcMem})
+		}},
+		{"incr", true, func() (bench.Table, error) {
+			t, err := bench.RunIncremental(*incrN, *timeout)
+			if err == nil && *incrBudget > 0 {
+				incrGate(t, *incrBudget)
+			}
+			return t, err
+		}},
+		{"sat", true, func() (bench.Table, error) {
+			t, err := bench.SATCore(*maxN).Run(*timeout)
+			t.AddBaseline(baseRows, bench.SATCoreSolverName)
+			return t, err
+		}},
+		{"check", true, func() (bench.Table, error) { return bench.RunCheck(*timeout) }},
+		{"cluster", false, func() (bench.Table, error) { return bench.RunCluster(*clusterN, *clusterPeers, *timeout) }},
+		{"nlp", false, func() (bench.Table, error) { return bench.NLP(*nlpRows).Run(*timeout) }},
+	}
+	names := make([]string, len(tables))
+	for i, t := range tables {
+		names[i] = t.name
+	}
+	choices := strings.Join(names, ", ") + " or all"
+	table := flag.String("table", "all", "which table to regenerate: "+choices)
 	flag.Parse()
 
 	fail := func(err error) {
@@ -56,7 +114,6 @@ func main() {
 		os.Exit(1)
 	}
 
-	var baseRows []bench.JSONRow
 	if *baseline != "" {
 		f, err := os.Open(*baseline)
 		if err != nil {
@@ -70,148 +127,24 @@ func main() {
 	}
 
 	var jsonRows []bench.JSONRow
-
-	run1 := func() {
-		rows, err := bench.RunTable1(*timeout)
+	ran := false
+	for _, t := range tables {
+		if *table != t.name && !(*table == "all" && t.all) {
+			continue
+		}
+		ran = true
+		tab, err := t.run()
 		if err != nil {
 			fail(err)
 		}
 		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONTable1(rows)...)
-			return
-		}
-		fmt.Println(bench.FormatTable1(rows))
-	}
-	run2 := func() {
-		progress := os.Stdout
-		if *jsonOut {
-			progress = os.Stderr
-		}
-		rows, err := bench.RunTable2(*maxN, *timeout, func(r bench.Table2Row) {
-			fmt.Fprintf(progress, "# %-24s absolver=%-16s cvclite=%-16s mathsat=%-16s\n",
-				r.Name, r.ABsolver, r.CVCLite, r.MathSAT)
-		})
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONTable2(rows)...)
-			return
-		}
-		fmt.Println(bench.FormatTable2(rows))
-	}
-	run3 := func() {
-		rows, err := bench.RunTable3(bench.Table3Options{Timeout: *timeout, CVCMemory: *cvcMem})
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONTable3(rows)...)
-			return
-		}
-		fmt.Println(bench.FormatTable3(rows))
-	}
-
-	runIncr := func() {
-		rows, err := bench.RunIncremental(*incrN, *timeout)
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONIncremental(rows)...)
+			jsonRows = append(jsonRows, tab.JSON()...)
 		} else {
-			fmt.Println(bench.FormatIncremental(rows))
-		}
-		if *incrBudget > 0 {
-			cold, session := bench.IncrementalTotals(rows)
-			if float64(session) > *incrBudget*float64(cold) {
-				fmt.Fprintf(os.Stderr, "abbench: incremental ablation regressed: session=%d cold=%d checks exceeds budget ratio %.2f\n",
-					session, cold, *incrBudget)
-				os.Exit(3)
-			}
-			fmt.Fprintf(os.Stderr, "# incr budget ok: session=%d cold=%d (ratio %.2f <= %.2f)\n",
-				session, cold, float64(session)/float64(cold), *incrBudget)
+			fmt.Println(tab.Format())
 		}
 	}
-
-	runCheck := func() {
-		rows, err := bench.RunCheck(*timeout)
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONCheck(rows)...)
-			return
-		}
-		fmt.Println(bench.FormatCheck(rows))
-	}
-
-	runCluster := func() {
-		rows, err := bench.RunCluster(*clusterN, *clusterPeers, *timeout)
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONCluster(rows)...)
-			return
-		}
-		fmt.Println(bench.FormatCluster(rows))
-	}
-
-	runNLP := func() {
-		rows, err := bench.RunNLP(*nlpRows, *timeout)
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONNLP(rows)...)
-			return
-		}
-		fmt.Println(bench.FormatNLP(rows))
-	}
-
-	runSAT := func() {
-		rows, err := bench.RunSATCore(*maxN, *timeout, baseRows)
-		if err != nil {
-			fail(err)
-		}
-		if *jsonOut {
-			jsonRows = append(jsonRows, bench.JSONSATCore(rows)...)
-			return
-		}
-		fmt.Println(bench.FormatSATCore(rows))
-	}
-
-	switch *table {
-	case "1":
-		run1()
-	case "2":
-		run2()
-	case "3":
-		run3()
-	case "incr":
-		runIncr()
-	case "sat":
-		runSAT()
-	case "check":
-		runCheck()
-	case "cluster":
-		// Deliberately not part of "all": boots live HTTP servers, and
-		// BENCH_5.json's row set is a frozen contract.
-		runCluster()
-	case "nlp":
-		// Also outside "all": BENCH_5.json's row set is frozen; the PolyAR
-		// ablation is archived separately as BENCH_10.json.
-		runNLP()
-	case "all":
-		run1()
-		run2()
-		run3()
-		runIncr()
-		runSAT()
-		runCheck()
-	default:
-		fmt.Fprintln(os.Stderr, "abbench: -table must be 1, 2, 3, incr, sat, check, cluster, nlp or all")
+	if !ran {
+		fmt.Fprintln(os.Stderr, "abbench: -table must be "+choices)
 		os.Exit(2)
 	}
 
@@ -220,4 +153,17 @@ func main() {
 			fail(err)
 		}
 	}
+}
+
+// incrGate exits with status 3 when the session sweep needs more than
+// budget times the cold sweep's theory checks.
+func incrGate(t bench.Table, budget float64) {
+	cold, session := t.Checks("absolver-cold"), t.Checks("absolver-session")
+	if float64(session) > budget*float64(cold) {
+		fmt.Fprintf(os.Stderr, "abbench: incremental ablation regressed: session=%d cold=%d checks exceeds budget ratio %.2f\n",
+			session, cold, budget)
+		os.Exit(3)
+	}
+	fmt.Fprintf(os.Stderr, "# incr budget ok: session=%d cold=%d (ratio %.2f <= %.2f)\n",
+		session, cold, float64(session)/float64(cold), budget)
 }

@@ -1,11 +1,14 @@
 // Package bench assembles the paper's evaluation (Sec. 5): the instance
 // builders and runners that regenerate Tables 1-3, shared between the
-// abbench command and the repository-level Go benchmarks. Each Run
-// function returns structured rows plus a printable rendering in the
-// layout of the corresponding table.
+// abbench command and the repository-level Go benchmarks, plus the
+// ablations that measure this implementation's design choices. Every
+// runner returns a Table: rows of per-solver Cells, printed by
+// Table.Format (the paper's layouts for Tables 1-3, one ablation layout
+// otherwise) and flattened by Table.JSON.
 package bench
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -114,95 +117,55 @@ func Table1Instances() []Table1Instance {
 	}
 }
 
-// Cell is one measured solver result.
-type Cell struct {
-	Time   time.Duration
-	Status core.Status
-	// Note marks abnormal outcomes: "rejected" (nonlinear), "timeout",
-	// "OOM", or an error string.
-	Note string
-	// Checks counts theory-solver invocations (linear + nonlinear for
-	// ABsolver, the baseline's own theory checks otherwise) — the work
-	// measure behind the wall time in machine-readable output.
-	Checks int
-}
-
-// String renders the cell in the paper's m'ss.mmm's style.
-func (c Cell) String() string {
-	if c.Note != "" {
-		switch c.Note {
-		case "OOM":
-			return "–*" // the paper's out-of-memory marker
-		case "rejected":
-			return "rejected"
-		case "timeout":
-			return fmt.Sprintf(">%s (timeout)", fmtDur(c.Time))
-		}
-		return c.Note
-	}
-	return fmtDur(c.Time)
-}
-
-func fmtDur(d time.Duration) string {
-	m := int(d.Minutes())
-	s := d.Seconds() - float64(m)*60
-	return fmt.Sprintf("%dm%06.3fs", m, s)
-}
-
-// Table1Row is one measured row of Table 1.
-type Table1Row struct {
-	Instance Table1Instance
-	ABsolver Cell
-	CVCLite  Cell
-	MathSAT  Cell
-}
-
 // RunTable1 measures Table 1: ABsolver solves each nonlinear instance;
-// both baselines reject them.
-func RunTable1(timeout time.Duration) ([]Table1Row, error) {
-	var rows []Table1Row
+// both baselines reject them. A verdict that differs from the instance's
+// Want fails the run unless it timed out.
+func RunTable1(timeout time.Duration) (Table, error) {
+	t := Table{Number: 1}
 	for _, inst := range Table1Instances() {
-		p, err := inst.Build()
+		row, err := table1Row(inst, timeout)
 		if err != nil {
-			return nil, fmt.Errorf("bench: building %s: %w", inst.Name, err)
+			return t, err
 		}
-		start := time.Now()
-		res, err := core.NewEngine(p, core.Config{Timeout: timeout}).Solve()
-		cell := Cell{
-			Time: time.Since(start), Status: res.Status,
-			Checks: res.Stats.LinearChecks + res.Stats.NonlinearChecks,
-		}
-		if err != nil {
-			if err == core.ErrTimeout {
-				cell.Note = "timeout"
-			} else {
-				return nil, err
-			}
-		}
-		row := Table1Row{Instance: inst, ABsolver: cell}
-		row.CVCLite = runBaseline(&baseline.CVCLiteLike{Timeout: timeout}, p)
-		row.MathSAT = runBaseline(&baseline.MathSATLike{Timeout: timeout}, p)
-		rows = append(rows, row)
+		t.Rows = append(t.Rows, row)
 	}
-	return rows, nil
+	return t, nil
+}
+
+func table1Row(inst Table1Instance, timeout time.Duration) (Row, error) {
+	p, err := inst.Build()
+	if err != nil {
+		return Row{}, fmt.Errorf("bench: building %s: %w", inst.Name, err)
+	}
+	c, _, err := solveCell("absolver", p, core.Config{Timeout: timeout})
+	if err != nil {
+		return Row{}, fmt.Errorf("bench: %s: %w", inst.Name, err)
+	}
+	if c.Note != "timeout" && c.Status != inst.Want {
+		return Row{}, fmt.Errorf("bench: %s: verdict %v, want %v", inst.Name, c.Status, inst.Want)
+	}
+	return Row{Instance: inst.Name, Cells: []Cell{c,
+		runBaseline("cvclite", &baseline.CVCLiteLike{Timeout: timeout}, p),
+		runBaseline("mathsat", &baseline.MathSATLike{Timeout: timeout}, p),
+	}}, nil
 }
 
 type baselineSolver interface {
-	Name() string
 	Solve(*core.Problem) (baseline.Result, error)
 }
 
-func runBaseline(s baselineSolver, p *core.Problem) Cell {
+// runBaseline measures a comparison solver under the label solver.
+func runBaseline(solver string, s baselineSolver, p *core.Problem) Cell {
 	start := time.Now()
 	r, err := s.Solve(p)
-	cell := Cell{Time: time.Since(start), Status: r.Status, Checks: r.Stats.TheoryChecks}
+	cell := Cell{Solver: solver, Time: time.Since(start), Status: r.Status, Checks: r.Stats.TheoryChecks}
 	switch {
 	case err == nil:
-	case isErr(err, baseline.ErrNonlinear):
+	case errors.Is(err, baseline.ErrNonlinear):
 		cell.Note = "rejected"
-	case isErr(err, baseline.ErrTimeout):
+	case errors.Is(err, baseline.ErrTimeout):
 		cell.Note = "timeout"
-	case isErr(err, baseline.ErrOutOfMemory):
+	case errors.Is(err, baseline.ErrOutOfMemory):
 		cell.Note = "OOM"
 	default:
 		cell.Note = err.Error()
@@ -210,32 +173,22 @@ func runBaseline(s baselineSolver, p *core.Problem) Cell {
 	return cell
 }
 
-func isErr(err, target error) bool {
-	for err != nil {
-		if err == target {
-			return true
-		}
-		u, ok := err.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		err = u.Unwrap()
-	}
-	return false
-}
-
-// FormatTable1 renders the rows like the paper's Table 1 (plus the
+// formatTable1 renders the rows like the paper's Table 1 (plus the
 // comparison columns' rejections).
-func FormatTable1(rows []Table1Row) string {
+func formatTable1(rows []Row) string {
+	dims := map[string]Table1Instance{}
+	for _, inst := range Table1Instances() {
+		dims[inst.Name] = inst
+	}
 	var sb strings.Builder
 	sb.WriteString("Table 1. Results: nonlinear problems.\n")
 	fmt.Fprintf(&sb, "%-24s %6s %6s %8s %9s  %-14s %-10s %-10s\n",
 		"Benchmark", "#Cl.", "#Var.", "#linear", "#nonlin.", "ABSOLVER", "CVC Lite", "MathSAT")
 	for _, r := range rows {
+		d := dims[r.Instance]
 		fmt.Fprintf(&sb, "%-24s %6d %6d %8d %9d  %-14s %-10s %-10s\n",
-			r.Instance.Name, r.Instance.Clauses, r.Instance.Vars,
-			r.Instance.Linear, r.Instance.Nonlinear,
-			r.ABsolver, r.CVCLite, r.MathSAT)
+			r.Instance, d.Clauses, d.Vars, d.Linear, d.Nonlinear,
+			r.Cells[0], r.Cells[1], r.Cells[2])
 	}
 	return sb.String()
 }
@@ -243,13 +196,18 @@ func FormatTable1(rows []Table1Row) string {
 // ---------------------------------------------------------------------------
 // Table 2: SMT-LIB (Fischer) benchmarks.
 
-// Table2Row is one measured row.
-type Table2Row struct {
-	Name     string
-	N        int
-	ABsolver Cell
-	CVCLite  Cell
-	MathSAT  Cell
+// fischerInstance is FISCHER<n> as the paper's pipeline feeds it to
+// ABsolver: generated, rendered to SMT-LIB and converted back, solved in
+// the external-restart combination mode.
+func fischerInstance(n int) Instance {
+	in := fischer.Generate(fischer.Params{N: n})
+	return Instance{Name: in.Name + ".smt", External: true, Build: func() (*core.Problem, error) {
+		b, err := smtlib.Parse(in.SMTLIB())
+		if err != nil {
+			return nil, err
+		}
+		return b.ToProblem(), nil
+	}}
 }
 
 // RunTable2 measures FISCHER1..maxN: each instance is generated, rendered
@@ -257,69 +215,48 @@ type Table2Row struct {
 // solved by the three solvers. ABsolver runs in the paper's
 // external-restart combination mode. The optional progress callback
 // receives each row as soon as it is measured (long sweeps stream).
-func RunTable2(maxN int, timeout time.Duration, progress ...func(Table2Row)) ([]Table2Row, error) {
-	var rows []Table2Row
+func RunTable2(maxN int, timeout time.Duration, progress ...func(Row)) (Table, error) {
+	t := Table{Number: 2}
 	for n := 1; n <= maxN; n++ {
-		in := fischer.Generate(fischer.Params{N: n})
-		b, err := smtlib.Parse(in.SMTLIB())
+		inst := fischerInstance(n)
+		p, err := inst.Build()
 		if err != nil {
-			return nil, fmt.Errorf("bench: FISCHER%d: %w", n, err)
+			return t, fmt.Errorf("bench: %s: %w", inst.Name, err)
 		}
-
-		row := Table2Row{Name: in.Name + ".smt", N: n}
-
-		pA := b.ToProblem()
-		start := time.Now()
-		resA, errA := core.NewEngine(pA, core.Config{
-			RestartBoolean: true,
-			Bool:           core.NewExternalCDCLSolver(),
-			Timeout:        timeout,
-		}).Solve()
-		row.ABsolver = Cell{
-			Time: time.Since(start), Status: resA.Status,
-			Checks: resA.Stats.LinearChecks + resA.Stats.NonlinearChecks,
+		cvc, ms := p.Clone(), p.Clone()
+		c, _, err := solveCell("absolver", p, inst.config(core.Config{Timeout: timeout}))
+		if err != nil {
+			return t, fmt.Errorf("bench: %s: %w", inst.Name, err)
 		}
-		if errA == core.ErrTimeout {
-			row.ABsolver.Note = "timeout"
-		} else if errA != nil {
-			return nil, errA
-		}
-
 		// The proof-memory budget is set to workstation scale (1 GiB —
 		// Table 2's instances must run to completion as in the paper;
 		// Table 3 models the published out-of-memory aborts with the
 		// budget the harness passes there).
-		row.CVCLite = runBaseline(&baseline.CVCLiteLike{Timeout: timeout, MemoryBudget: 1 << 30}, b.ToProblem())
-		row.MathSAT = runBaseline(&baseline.MathSATLike{Timeout: timeout}, b.ToProblem())
-		rows = append(rows, row)
+		row := Row{Instance: inst.Name, Cells: []Cell{c,
+			runBaseline("cvclite", &baseline.CVCLiteLike{Timeout: timeout, MemoryBudget: 1 << 30}, cvc),
+			runBaseline("mathsat", &baseline.MathSATLike{Timeout: timeout}, ms),
+		}}
+		t.Rows = append(t.Rows, row)
 		for _, cb := range progress {
 			cb(row)
 		}
 	}
-	return rows, nil
+	return t, nil
 }
 
-// FormatTable2 renders the rows like the paper's Table 2.
-func FormatTable2(rows []Table2Row) string {
+// formatTable2 renders the rows like the paper's Table 2.
+func formatTable2(rows []Row) string {
 	var sb strings.Builder
 	sb.WriteString("Table 2. Results: SMT-LIB benchmarks.\n")
 	fmt.Fprintf(&sb, "%-24s %-18s %-18s %-18s\n", "Benchmark", "ABSOLVER", "CVC Lite", "MathSAT")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-24s %-18s %-18s %-18s\n", r.Name, r.ABsolver, r.CVCLite, r.MathSAT)
+		fmt.Fprintf(&sb, "%-24s %-18s %-18s %-18s\n", r.Instance, r.Cells[0], r.Cells[1], r.Cells[2])
 	}
 	return sb.String()
 }
 
 // ---------------------------------------------------------------------------
 // Table 3: Sudoku puzzles.
-
-// Table3Row is one measured row.
-type Table3Row struct {
-	Name     string
-	ABsolver Cell
-	CVCLite  Cell
-	MathSAT  Cell
-}
 
 // Table3Options tune the run: the baselines get the era-typical arithmetic
 // encoding under a timeout, CVCLiteLike additionally under a proof-memory
@@ -334,56 +271,44 @@ type Table3Options struct {
 // mixed Boolean-integer encoding (Sec. 5.3: "the encoding is more natural
 // as it can make use of integers"); the comparison solvers receive the
 // arithmetic translation their input languages support.
-func RunTable3(opt Table3Options) ([]Table3Row, error) {
+func RunTable3(opt Table3Options) (Table, error) {
 	if opt.Timeout == 0 {
 		opt.Timeout = 60 * time.Second
 	}
 	if opt.CVCMemory == 0 {
 		opt.CVCMemory = 32 << 20
 	}
-	var rows []Table3Row
+	t := Table{Number: 3}
 	for _, inst := range sudoku.Puzzles() {
-		row := Table3Row{Name: inst.Name}
-
-		mixed := sudoku.EncodeMixed(&inst.Puzzle)
-		start := time.Now()
-		res, err := core.NewEngine(mixed, core.Config{Timeout: opt.Timeout}).Solve()
-		row.ABsolver = Cell{
-			Time: time.Since(start), Status: res.Status,
-			Checks: res.Stats.LinearChecks + res.Stats.NonlinearChecks,
-		}
-		if err == core.ErrTimeout {
-			row.ABsolver.Note = "timeout"
-		} else if err != nil {
-			return nil, err
+		c, res, err := solveCell("absolver", sudoku.EncodeMixed(&inst.Puzzle), core.Config{Timeout: opt.Timeout})
+		if err != nil {
+			return t, fmt.Errorf("bench: %s: %w", inst.Name, err)
 		}
 		if res.Status == core.StatusSat {
 			// Guard against nonsense timings: verify the solution.
 			if g, err := sudoku.DecodeMixed(res.Model); err != nil {
-				return nil, err
+				return t, err
 			} else if err := sudoku.Verify(&inst.Puzzle, g); err != nil {
-				return nil, err
+				return t, err
 			}
 		}
-
-		arith := sudoku.EncodeArithmetic(&inst.Puzzle)
-		row.CVCLite = runBaseline(&baseline.CVCLiteLike{
-			Timeout: opt.Timeout, MemoryBudget: opt.CVCMemory,
-		}, arith)
-		arith2 := sudoku.EncodeArithmetic(&inst.Puzzle)
-		row.MathSAT = runBaseline(&baseline.MathSATLike{Timeout: opt.Timeout}, arith2)
-		rows = append(rows, row)
+		t.Rows = append(t.Rows, Row{Instance: inst.Name, Cells: []Cell{c,
+			runBaseline("cvclite", &baseline.CVCLiteLike{
+				Timeout: opt.Timeout, MemoryBudget: opt.CVCMemory,
+			}, sudoku.EncodeArithmetic(&inst.Puzzle)),
+			runBaseline("mathsat", &baseline.MathSATLike{Timeout: opt.Timeout}, sudoku.EncodeArithmetic(&inst.Puzzle)),
+		}})
 	}
-	return rows, nil
+	return t, nil
 }
 
-// FormatTable3 renders the rows like the paper's Table 3.
-func FormatTable3(rows []Table3Row) string {
+// formatTable3 renders the rows like the paper's Table 3.
+func formatTable3(rows []Row) string {
 	var sb strings.Builder
 	sb.WriteString("Table 3. Results: Sudoku puzzles.\n")
 	fmt.Fprintf(&sb, "%-20s %-14s %-10s %-18s\n", "Benchmark", "ABSOLVER", "CVC Lite", "MathSAT")
 	for _, r := range rows {
-		fmt.Fprintf(&sb, "%-20s %-14s %-10s %-18s\n", r.Name, r.ABsolver, r.CVCLite, r.MathSAT)
+		fmt.Fprintf(&sb, "%-20s %-14s %-10s %-18s\n", r.Instance, r.Cells[0], r.Cells[1], r.Cells[2])
 	}
 	return sb.String()
 }

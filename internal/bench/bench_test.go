@@ -152,21 +152,41 @@ func TestDivOperatorUsesDivision(t *testing.T) {
 }
 
 func TestRunTable2Smallest(t *testing.T) {
-	rows, err := RunTable2(1, 60*time.Second)
+	tab, err := RunTable2(1, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 1 {
-		t.Fatalf("rows = %d", len(rows))
+	if len(tab.Rows) != 1 {
+		t.Fatalf("rows = %d", len(tab.Rows))
 	}
-	r := rows[0]
-	if r.ABsolver.Status != core.StatusSat && r.ABsolver.Note == "" {
-		t.Fatalf("ABsolver cell: %+v", r.ABsolver)
+	r := tab.Rows[0]
+	if c := r.Cells[0]; c.Status != core.StatusSat && c.Note == "" {
+		t.Fatalf("ABsolver cell: %+v", c)
 	}
-	out := FormatTable2(rows)
+	out := tab.Format()
 	if !strings.Contains(out, "FISCHER1") {
 		t.Fatalf("format output missing instance name:\n%s", out)
 	}
+}
+
+// TestTable1RejectsWrongVerdict sends one instance through Table 1's
+// per-instance path twice: as declared, and with its expected verdict
+// flipped, which must fail the run instead of printing a wrong row.
+func TestTable1RejectsWrongVerdict(t *testing.T) {
+	for _, inst := range Table1Instances() {
+		if inst.Name != "nonlinear_unsat" {
+			continue
+		}
+		if _, err := table1Row(inst, time.Minute); err != nil {
+			t.Fatalf("declared verdict: %v", err)
+		}
+		inst.Want = core.StatusSat
+		if _, err := table1Row(inst, time.Minute); err == nil {
+			t.Fatal("flipped Want: no error")
+		}
+		return
+	}
+	t.Fatal("no nonlinear_unsat instance")
 }
 
 func TestCellFormatting(t *testing.T) {

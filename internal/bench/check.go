@@ -3,7 +3,6 @@ package bench
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"absolver/internal/core"
@@ -14,7 +13,7 @@ import (
 )
 
 // ---------------------------------------------------------------------------
-// Table 8: the model-checking front end (PR 8 ablation, not a paper table).
+// Table 8: the model-checking front end (an ablation, not a paper table).
 //
 // The workload is BMC + k-induction over the repo's two protocol/case-study
 // models: the discrete Fischer protocol in both timing variants (safe and
@@ -79,113 +78,64 @@ func steeringSafety() (*lustre.Program, error) {
 	return prog, nil
 }
 
-// CheckRow is one model measured in both session modes.
-type CheckRow struct {
-	Name string
-	// Verdict and K are the warm run's outcome (modes must agree).
-	Verdict string
-	K       int
-	Warm    Cell
-	Cold    Cell
+// RunCheck measures table 8, the model-checking sweep: every instance
+// checked to its depth, once with the warm shared session
+// ("absolver-warm") and once cold ("absolver-cold").
+func RunCheck(timeout time.Duration) (Table, error) {
+	return runCheck(CheckInstances(), timeout)
 }
 
-// RunCheck measures the model-checking sweep: every instance checked to
-// its depth, once with the warm shared session and once cold.
-func RunCheck(timeout time.Duration) ([]CheckRow, error) {
-	instances := CheckInstances()
-	rows := make([]CheckRow, len(instances))
-	for i, inst := range instances {
+func runCheck(instances []CheckInstance, timeout time.Duration) (Table, error) {
+	t := Table{Number: 8, Title: "Model checking (BMC + k-induction, warm session vs cold per depth)"}
+	for _, inst := range instances {
 		row, err := runCheckInstance(inst, timeout)
 		if err != nil {
-			return nil, err
+			return t, err
 		}
-		rows[i] = row
+		t.Rows = append(t.Rows, row)
 	}
-	return rows, nil
+	return t, nil
 }
 
-func runCheckInstance(inst CheckInstance, timeout time.Duration) (CheckRow, error) {
-	row := CheckRow{Name: inst.Name}
+// checkStatus maps a checker verdict onto the solver status agree
+// compares: a counterexample is sat, a proof unsat, a reached bound
+// undecided.
+var checkStatus = map[mc.Verdict]core.Status{mc.Falsified: core.StatusSat, mc.Proved: core.StatusUnsat}
+
+// runCheckInstance checks one model in both modes. The cells carry the
+// checker's verdict vocabulary, and Detail the warm run's depth k.
+func runCheckInstance(inst CheckInstance, timeout time.Duration) (Row, error) {
+	row := Row{Instance: inst.Name}
 	prog, err := inst.Build()
 	if err != nil {
 		return row, fmt.Errorf("bench: %s: %w", inst.Name, err)
 	}
-	var verdicts [2]mc.Verdict
-	for m, cold := range []bool{false, true} {
-		opts := mc.Options{
-			Property:    inst.Property,
-			MaxDepth:    inst.Depth,
-			Cold:        cold,
-			InputBounds: inst.Bounds,
-			Config:      &core.Config{Timeout: timeout, CheckModels: true},
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
-		start := time.Now()
-		res, err := mc.Check(ctx, prog, opts)
-		cancel()
-		cell := Cell{
-			Time:   time.Since(start),
-			Checks: res.Stats.LinearChecks + res.Stats.NonlinearChecks,
-		}
+	for _, mode := range []struct {
+		solver string
+		cold   bool
+	}{{"absolver-warm", false}, {"absolver-cold", true}} {
+		var res mc.Result
+		c, _, err := measure(mode.solver, func() (core.Result, error) {
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			defer cancel()
+			var err error
+			res, err = mc.Check(ctx, prog, mc.Options{
+				Property:    inst.Property,
+				MaxDepth:    inst.Depth,
+				Cold:        mode.cold,
+				InputBounds: inst.Bounds,
+				Config:      &core.Config{Timeout: timeout, CheckModels: true},
+			})
+			return core.Result{Status: checkStatus[res.Verdict], Stats: res.Stats}, err
+		})
 		if err != nil {
-			if !isErr(err, core.ErrTimeout) && !isErr(err, context.DeadlineExceeded) {
-				return row, fmt.Errorf("bench: %s: %w", inst.Name, err)
-			}
-			cell.Note = "timeout"
+			return row, fmt.Errorf("bench: %s: %w", inst.Name, err)
 		}
-		verdicts[m] = res.Verdict
-		if cold {
-			row.Cold = cell
-		} else {
-			row.Warm = cell
-			row.Verdict = string(res.Verdict)
-			row.K = res.K
+		c.Verdict = string(res.Verdict)
+		if !mode.cold {
+			row.Detail = fmt.Sprintf("k=%d", res.K)
 		}
+		row.Cells = append(row.Cells, c)
 	}
-	if verdicts[0] != verdicts[1] && row.Warm.Note == "" && row.Cold.Note == "" {
-		return row, fmt.Errorf("bench: %s: warm %v vs cold %v", inst.Name, verdicts[0], verdicts[1])
-	}
-	return row, nil
-}
-
-// CheckTotals sums the theory checks of both modes.
-func CheckTotals(rows []CheckRow) (warm, cold int) {
-	for _, r := range rows {
-		warm += r.Warm.Checks
-		cold += r.Cold.Checks
-	}
-	return warm, cold
-}
-
-// FormatCheck renders the sweep in the tables' layout.
-func FormatCheck(rows []CheckRow) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Model checking (BMC + k-induction, warm session vs cold per depth)\n")
-	fmt.Fprintf(&b, "%-15s | %-13s | %2s | %10s | %6s | %10s | %6s\n",
-		"model", "verdict", "k", "warm", "checks", "cold", "checks")
-	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 78))
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-15s | %-13s | %2d | %10s | %6d | %10s | %6d\n",
-			r.Name, r.Verdict, r.K, fmtDur(r.Warm.Time), r.Warm.Checks,
-			fmtDur(r.Cold.Time), r.Cold.Checks)
-	}
-	warm, cold := CheckTotals(rows)
-	fmt.Fprintf(&b, "%s\n", strings.Repeat("-", 78))
-	fmt.Fprintf(&b, "total theory checks: warm=%d cold=%d\n", warm, cold)
-	return b.String()
-}
-
-// JSONCheck flattens the sweep into one JSONRow per mode and model (table
-// number 8, solvers "absolver-warm" and "absolver-cold"). The verdict
-// column carries the checker's verdict vocabulary (proved / falsified /
-// bound_reached) instead of a solver status.
-func JSONCheck(rows []CheckRow) []JSONRow {
-	var out []JSONRow
-	for _, r := range rows {
-		w := jsonRow(8, r.Name, "absolver-warm", r.Warm)
-		c := jsonRow(8, r.Name, "absolver-cold", r.Cold)
-		w.Verdict, c.Verdict = r.Verdict, r.Verdict
-		out = append(out, w, c)
-	}
-	return out
+	return row, agree(row)
 }

@@ -30,24 +30,26 @@ func TestRunCheckSteering(t *testing.T) {
 	if inst.Name == "" {
 		t.Fatal("no steering instance")
 	}
-	row, err := runCheckInstance(inst, 60*time.Second)
+	tab, err := runCheck([]CheckInstance{inst}, 60*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
+	row := tab.Rows[0]
+	warm, cold := row.Cells[0], row.Cells[1]
 	// The paper's query: the critical driving situation is reachable, so
 	// the safety property falsifies immediately with a test vector.
-	if row.Verdict != "falsified" || row.K != 0 {
-		t.Fatalf("row = %+v, want falsified at 0", row)
+	if warm.Verdict != "falsified" || row.Detail != "k=0" {
+		t.Fatalf("row = %+v, want falsified at k=0", row)
 	}
-	if row.Warm.Checks <= 0 || row.Cold.Checks <= 0 {
+	if warm.Checks <= 0 || cold.Checks <= 0 {
 		t.Fatalf("missing theory-check counts: %+v", row)
 	}
 
-	out := FormatCheck([]CheckRow{row})
+	out := tab.Format()
 	if !strings.Contains(out, "steering") || !strings.Contains(out, "falsified") {
 		t.Fatalf("format: %q", out)
 	}
-	rows := JSONCheck([]CheckRow{row})
+	rows := tab.JSON()
 	if len(rows) != 2 || rows[0].Table != 8 || rows[0].Solver != "absolver-warm" ||
 		rows[1].Solver != "absolver-cold" || rows[0].Verdict != "falsified" {
 		t.Fatalf("json rows: %+v", rows)

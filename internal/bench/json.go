@@ -3,6 +3,10 @@ package bench
 import (
 	"encoding/json"
 	"io"
+	"math"
+	"time"
+
+	"absolver/internal/core"
 )
 
 // JSONRow is one solver-on-instance measurement in the machine-readable
@@ -21,52 +25,53 @@ type JSONRow struct {
 	WallSeconds float64 `json:"wall_seconds"`
 	// TheoryChecks counts theory-solver invocations (see Cell.Checks).
 	TheoryChecks int `json:"theory_checks"`
-	// Counters carries optional solver-internal statistics (table 7 uses
-	// it for the inprocessing/arena counters); absent from older tables.
+	// Counters carries optional solver-internal statistics (see
+	// Cell.Counters); absent from most rows.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }
 
-func jsonRow(table int, instance, solver string, c Cell) JSONRow {
-	return JSONRow{
-		Table: table, Instance: instance, Solver: solver,
-		Verdict: c.Status.String(), Note: c.Note,
-		WallSeconds: c.Time.Seconds(), TheoryChecks: c.Checks,
-	}
-}
-
-func solverRows(table int, instance string, absolver, cvclite, mathsat Cell) []JSONRow {
-	return []JSONRow{
-		jsonRow(table, instance, "absolver", absolver),
-		jsonRow(table, instance, "cvclite", cvclite),
-		jsonRow(table, instance, "mathsat", mathsat),
-	}
-}
-
-// JSONTable1 flattens Table 1 rows into one JSONRow per solver and instance.
-func JSONTable1(rows []Table1Row) []JSONRow {
+// JSON flattens the table into one JSONRow per cell, row by row.
+func (t Table) JSON() []JSONRow {
 	var out []JSONRow
-	for _, r := range rows {
-		out = append(out, solverRows(1, r.Instance.Name, r.ABsolver, r.CVCLite, r.MathSAT)...)
+	for _, r := range t.Rows {
+		for _, c := range r.Cells {
+			out = append(out, JSONRow{
+				Table: t.Number, Instance: r.Instance, Solver: c.Solver,
+				Verdict: c.verdict(), Note: c.Note,
+				WallSeconds: c.Time.Seconds(), TheoryChecks: c.Checks,
+				Counters: c.Counters,
+			})
+		}
 	}
 	return out
 }
 
-// JSONTable2 flattens Table 2 rows into one JSONRow per solver and instance.
-func JSONTable2(rows []Table2Row) []JSONRow {
-	var out []JSONRow
-	for _, r := range rows {
-		out = append(out, solverRows(2, r.Name, r.ABsolver, r.CVCLite, r.MathSAT)...)
+// AddBaseline appends to each row the cell that a prior artifact's rows of
+// solver recorded for the same instance, so the table prints old-vs-new
+// columns and its JSON output carries the old side along.
+func (t *Table) AddBaseline(prior []JSONRow, solver string) {
+	old := map[string]Cell{}
+	for _, r := range prior {
+		if r.Solver != solver {
+			continue
+		}
+		c := Cell{
+			Solver: r.Solver, Verdict: r.Verdict, Note: r.Note,
+			Time:   time.Duration(math.Round(r.WallSeconds * float64(time.Second))),
+			Checks: r.TheoryChecks, Counters: r.Counters,
+		}
+		for _, s := range []core.Status{core.StatusSat, core.StatusUnsat} {
+			if r.Verdict == s.String() {
+				c.Status = s
+			}
+		}
+		old[r.Instance] = c
 	}
-	return out
-}
-
-// JSONTable3 flattens Table 3 rows into one JSONRow per solver and instance.
-func JSONTable3(rows []Table3Row) []JSONRow {
-	var out []JSONRow
-	for _, r := range rows {
-		out = append(out, solverRows(3, r.Name, r.ABsolver, r.CVCLite, r.MathSAT)...)
+	for i, r := range t.Rows {
+		if c, ok := old[r.Instance]; ok {
+			t.Rows[i].Cells = append(r.Cells, c)
+		}
 	}
-	return out
 }
 
 // WriteJSON writes the rows as an indented JSON array with a trailing
