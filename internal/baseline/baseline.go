@@ -521,17 +521,16 @@ func groundLemmas(s *sat.Solver, bindings map[int]expr.Atom, exclusionsOnly bool
 				a, b := atoms[i], atoms[j]
 				// Normalise to x ? bound (flip op when coeff < 0).
 				opA, opB := normOp(a.op, a.coeff), normOp(b.op, b.coeff)
-				rel := pairRelation(opA, a.bound, opB, b.bound)
-				switch rel {
-				case relExclusive:
+				switch core.PairRelation(opA, a.bound, opB, b.bound) {
+				case core.RelExclusive:
 					s.AddClause(sat.MkLit(a.v, true), sat.MkLit(b.v, true))
 					lemmas++
-				case relAImpliesB:
+				case core.RelAImpliesB:
 					if !exclusionsOnly {
 						s.AddClause(sat.MkLit(a.v, true), sat.MkLit(b.v, false))
 						lemmas++
 					}
-				case relBImpliesA:
+				case core.RelBImpliesA:
 					if !exclusionsOnly {
 						s.AddClause(sat.MkLit(b.v, true), sat.MkLit(a.v, false))
 						lemmas++
@@ -558,99 +557,6 @@ func normOp(op expr.CmpOp, coeff float64) expr.CmpOp {
 		return expr.CmpLE
 	}
 	return op
-}
-
-type pairRel int
-
-const (
-	relNone pairRel = iota
-	relExclusive
-	relAImpliesB
-	relBImpliesA
-)
-
-// holdsPoint reports x op b.
-func holdsPoint(x float64, op expr.CmpOp, b float64) bool {
-	switch op {
-	case expr.CmpLT:
-		return x < b
-	case expr.CmpGT:
-		return x > b
-	case expr.CmpLE:
-		return x <= b
-	case expr.CmpGE:
-		return x >= b
-	case expr.CmpEQ:
-		return x == b
-	case expr.CmpNE:
-		return x != b
-	}
-	return false
-}
-
-func isUp(op expr.CmpOp) bool   { return op == expr.CmpGE || op == expr.CmpGT }
-func isDown(op expr.CmpOp) bool { return op == expr.CmpLE || op == expr.CmpLT }
-
-// subsetAtom reports {x : x opA a} ⊆ {x : x opB b}.
-func subsetAtom(opA expr.CmpOp, a float64, opB expr.CmpOp, b float64) bool {
-	switch {
-	case opA == expr.CmpEQ:
-		return holdsPoint(a, opB, b)
-	case opB == expr.CmpEQ:
-		return false // no ray or co-point fits inside a single point
-	case opA == expr.CmpNE:
-		return opB == expr.CmpNE && a == b
-	case opB == expr.CmpNE:
-		return !holdsPoint(b, opA, a)
-	case isUp(opA) && isUp(opB):
-		if a > b {
-			return true
-		}
-		return a == b && !(opB == expr.CmpGT && opA == expr.CmpGE)
-	case isDown(opA) && isDown(opB):
-		if a < b {
-			return true
-		}
-		return a == b && !(opB == expr.CmpLT && opA == expr.CmpLE)
-	}
-	return false // opposite rays are never nested
-}
-
-// disjointAtom reports {x : x opA a} ∩ {x : x opB b} = ∅.
-func disjointAtom(opA expr.CmpOp, a float64, opB expr.CmpOp, b float64) bool {
-	switch {
-	case opA == expr.CmpEQ:
-		return !holdsPoint(a, opB, b)
-	case opB == expr.CmpEQ:
-		return !holdsPoint(b, opA, a)
-	case opA == expr.CmpNE || opB == expr.CmpNE:
-		return false // a co-point set meets every nonempty ray / co-point
-	case isUp(opA) && isDown(opB):
-		if a > b {
-			return true
-		}
-		return a == b && (opA == expr.CmpGT || opB == expr.CmpLT)
-	case isDown(opA) && isUp(opB):
-		if b > a {
-			return true
-		}
-		return a == b && (opB == expr.CmpGT || opA == expr.CmpLT)
-	}
-	return false
-}
-
-// pairRelation derives the strongest sound lemma between two unit atoms
-// x opA a and x opB b.
-func pairRelation(opA expr.CmpOp, a float64, opB expr.CmpOp, b float64) pairRel {
-	switch {
-	case disjointAtom(opA, a, opB, b):
-		return relExclusive
-	case subsetAtom(opA, a, opB, b):
-		return relAImpliesB
-	case subsetAtom(opB, b, opA, a):
-		return relBImpliesA
-	}
-	return relNone
 }
 
 func boundsMaps(p *core.Problem) (lower, upper map[string]float64) {

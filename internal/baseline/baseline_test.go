@@ -202,32 +202,32 @@ func TestPairRelation(t *testing.T) {
 		a    float64
 		opB  expr.CmpOp
 		b    float64
-		want pairRel
+		want core.PairRel
 	}{
-		{GE, 5, LE, 4, relExclusive},
-		{GE, 5, LE, 5, relNone},
-		{GT, 5, LE, 5, relExclusive},
-		{GE, 5, GE, 4, relAImpliesB},
-		{GE, 4, GE, 5, relBImpliesA},
-		{GE, 5, GT, 5, relBImpliesA}, // x>5 ⇒ x≥5
-		{GT, 5, GE, 5, relAImpliesB},
-		{LE, 4, LE, 5, relAImpliesB},
-		{LT, 5, LE, 5, relAImpliesB},
-		{LE, 5, LT, 5, relBImpliesA},
-		{EQ, 3, LE, 5, relAImpliesB},
-		{EQ, 7, LE, 5, relExclusive},
-		{EQ, 3, EQ, 3, relAImpliesB},
-		{EQ, 3, EQ, 4, relExclusive},
-		{EQ, 3, NE, 4, relAImpliesB},
-		{EQ, 3, NE, 3, relExclusive},
-		{NE, 3, NE, 3, relAImpliesB},
-		{NE, 3, GE, 1, relNone},
-		{GE, 1, LE, 3, relNone},
+		{GE, 5, LE, 4, core.RelExclusive},
+		{GE, 5, LE, 5, core.RelNone},
+		{GT, 5, LE, 5, core.RelExclusive},
+		{GE, 5, GE, 4, core.RelAImpliesB},
+		{GE, 4, GE, 5, core.RelBImpliesA},
+		{GE, 5, GT, 5, core.RelBImpliesA}, // x>5 ⇒ x≥5
+		{GT, 5, GE, 5, core.RelAImpliesB},
+		{LE, 4, LE, 5, core.RelAImpliesB},
+		{LT, 5, LE, 5, core.RelAImpliesB},
+		{LE, 5, LT, 5, core.RelBImpliesA},
+		{EQ, 3, LE, 5, core.RelAImpliesB},
+		{EQ, 7, LE, 5, core.RelExclusive},
+		{EQ, 3, EQ, 3, core.RelAImpliesB},
+		{EQ, 3, EQ, 4, core.RelExclusive},
+		{EQ, 3, NE, 4, core.RelAImpliesB},
+		{EQ, 3, NE, 3, core.RelExclusive},
+		{NE, 3, NE, 3, core.RelAImpliesB},
+		{NE, 3, GE, 1, core.RelNone},
+		{GE, 1, LE, 3, core.RelNone},
 	}
 	for i, c := range cases {
-		got := pairRelation(c.opA, c.a, c.opB, c.b)
+		got := core.PairRelation(c.opA, c.a, c.opB, c.b)
 		if got != c.want {
-			t.Fatalf("case %d: pairRelation(%v %g, %v %g) = %v, want %v",
+			t.Fatalf("case %d: PairRelation(%v %g, %v %g) = %v, want %v",
 				i, c.opA, c.a, c.opB, c.b, got, c.want)
 		}
 	}
@@ -242,20 +242,21 @@ func TestPairRelationSoundness(t *testing.T) {
 		for _, a := range bounds {
 			for _, opB := range ops {
 				for _, b := range bounds {
-					rel := pairRelation(opA, a, opB, b)
+					rel := core.PairRelation(opA, a, opB, b)
 					for _, x := range points {
-						inA := holdsPoint(x, opA, a)
-						inB := holdsPoint(x, opB, b)
+						// {x} ⊆ {y : y op b} is x op b.
+						inA := core.SubsetAtom(expr.CmpEQ, x, opA, a)
+						inB := core.SubsetAtom(expr.CmpEQ, x, opB, b)
 						switch rel {
-						case relExclusive:
+						case core.RelExclusive:
 							if inA && inB {
 								t.Fatalf("exclusive lemma wrong: x=%g in both (%v %g / %v %g)", x, opA, a, opB, b)
 							}
-						case relAImpliesB:
+						case core.RelAImpliesB:
 							if inA && !inB {
 								t.Fatalf("A⇒B lemma wrong: x=%g (%v %g / %v %g)", x, opA, a, opB, b)
 							}
-						case relBImpliesA:
+						case core.RelBImpliesA:
 							if inB && !inA {
 								t.Fatalf("B⇒A lemma wrong: x=%g (%v %g / %v %g)", x, opA, a, opB, b)
 							}

@@ -6,11 +6,13 @@ package client
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -126,31 +128,76 @@ func errorFromResponse(resp *http.Response) error {
 	return e
 }
 
-func (c *Client) solveURL(params api.SolveParams) string {
-	u := c.BaseURL + "/v1/solve"
-	if q := params.Values().Encode(); q != "" {
+// post sends body to path with the query and returns the response of a
+// 200 answer; any other status comes back as *Error, its body drained.
+func (c *Client) post(ctx context.Context, path string, query url.Values, contentType, body string) (*http.Response, error) {
+	u := c.BaseURL + path
+	if q := query.Encode(); q != "" {
 		u += "?" + q
 	}
-	return u
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", contentType)
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		defer resp.Body.Close()
+		return nil, errorFromResponse(resp)
+	}
+	return resp, nil
+}
+
+// readEvents reads an NDJSON event stream of type E, handing each event to
+// handle until handle reports the stream's terminal event. The body is
+// then drained so the connection can be reused, and handle's error is
+// returned. A non-terminal error from handle (a caller's abort) returns at
+// once and deliberately skips the drain: closing an undrained stream is
+// what cancels the job server-side. what names the stream in diagnostics.
+func readEvents[E any](body io.Reader, what string, handle func(E) (final bool, err error)) error {
+	sc := bufio.NewScanner(body)
+	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
+	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		var ev E
+		if err := json.Unmarshal(line, &ev); err != nil {
+			return fmt.Errorf("absolverd: bad %s line %q: %w", what, line, err)
+		}
+		final, err := handle(ev)
+		if final {
+			drainBody(body)
+		}
+		if final || err != nil {
+			return err
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return err
+	}
+	return fmt.Errorf("absolverd: %s stream ended without its final event", what)
+}
+
+// streamError is a failure reported after admission by a stream's final
+// error event.
+func streamError(msg string) error {
+	return &Error{StatusCode: http.StatusOK, ExitCode: api.ExitInternal, Message: msg}
 }
 
 // Solve submits a problem body and waits for the verdict. A non-200 answer
 // (bad input, queue full, draining, internal failure) is returned as *Error.
 func (c *Client) Solve(ctx context.Context, problem string, params api.SolveParams) (*api.SolveResponse, error) {
 	params.Stream = false
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.solveURL(params), strings.NewReader(problem))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "text/plain")
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.post(ctx, "/v1/solve", params.Values(), "text/plain", problem)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorFromResponse(resp)
-	}
 	var out api.SolveResponse
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		return nil, fmt.Errorf("absolverd: decoding response: %w", err)
@@ -166,55 +213,29 @@ func (c *Client) Solve(ctx context.Context, problem string, params api.SolvePara
 // returned verbatim.
 func (c *Client) SolveStream(ctx context.Context, problem string, params api.SolveParams, onEvent func(api.StreamEvent) error) (*api.SolveResponse, error) {
 	params.Stream = true
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.solveURL(params), strings.NewReader(problem))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "text/plain")
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.post(ctx, "/v1/solve", params.Values(), "text/plain", problem)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorFromResponse(resp)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var ev api.StreamEvent
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			return nil, fmt.Errorf("absolverd: bad stream line %q: %w", line, err)
-		}
+	var out *api.SolveResponse
+	err = readEvents(resp.Body, "solve", func(ev api.StreamEvent) (bool, error) {
 		switch ev.Type {
 		case api.EventResult:
-			// The result is the stream's final line; drain the trailing
-			// newline so the connection is reusable. A caller-initiated
-			// abort (onEvent error below) deliberately skips the drain —
-			// closing an undrained stream is what cancels the solve
-			// server-side.
-			drainBody(resp.Body)
-			return ev.Result, nil
+			out = ev.Result
+			return true, nil
 		case api.EventError:
-			drainBody(resp.Body)
-			return nil, &Error{StatusCode: http.StatusOK, ExitCode: api.ExitInternal, Message: ev.Error}
-		default:
-			if onEvent != nil {
-				if err := onEvent(ev); err != nil {
-					return nil, err
-				}
-			}
+			return true, streamError(ev.Error)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		if onEvent == nil {
+			return false, nil
+		}
+		return false, onEvent(ev)
+	})
+	if err != nil {
 		return nil, err
 	}
-	return nil, fmt.Errorf("absolverd: stream ended without a result event")
+	return out, nil
 }
 
 // Batch submits a shared base problem plus per-instance deltas to
@@ -226,62 +247,37 @@ func (c *Client) SolveStream(ctx context.Context, problem string, params api.Sol
 func (c *Client) Batch(ctx context.Context, base string, instances []api.BatchInstance, params api.SolveParams) ([]api.BatchItemResult, *api.BatchSummary, error) {
 	params.Stream = false
 	var body strings.Builder
-	if err := json.NewEncoder(&body).Encode(api.BatchRequest{Base: base}); err != nil {
+	enc := json.NewEncoder(&body)
+	if err := enc.Encode(api.BatchRequest{Base: base}); err != nil {
 		return nil, nil, err
 	}
-	enc := json.NewEncoder(&body)
 	for _, inst := range instances {
 		if err := enc.Encode(inst); err != nil {
 			return nil, nil, err
 		}
 	}
-	u := c.BaseURL + "/v1/batch"
-	if q := params.Values().Encode(); q != "" {
-		u += "?" + q
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(body.String()))
-	if err != nil {
-		return nil, nil, err
-	}
-	req.Header.Set("Content-Type", "application/x-ndjson")
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.post(ctx, "/v1/batch", params.Values(), "application/x-ndjson", body.String())
 	if err != nil {
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil, errorFromResponse(resp)
-	}
-
 	var items []api.BatchItemResult
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var ev api.BatchEvent
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			return items, nil, fmt.Errorf("absolverd: bad batch line %q: %w", line, err)
-		}
+	var summary *api.BatchSummary
+	err = readEvents(resp.Body, "batch", func(ev api.BatchEvent) (bool, error) {
 		switch ev.Type {
 		case api.EventItem:
 			if ev.Item != nil {
 				items = append(items, *ev.Item)
 			}
 		case api.EventEnd:
-			drainBody(resp.Body)
-			return items, ev.Summary, nil
+			summary = ev.Summary
+			return true, nil
 		case api.EventError:
-			drainBody(resp.Body)
-			return items, nil, &Error{StatusCode: http.StatusOK, ExitCode: api.ExitInternal, Message: ev.Error}
+			return true, streamError(ev.Error)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return items, nil, err
-	}
-	return items, nil, fmt.Errorf("absolverd: batch stream ended without an end event")
+		return false, nil
+	})
+	return items, summary, err
 }
 
 // Check submits a program to POST /v1/check and waits for the verdict.
@@ -291,54 +287,30 @@ func (c *Client) Batch(ctx context.Context, base string, instances []api.BatchIn
 // returned verbatim. A non-200 admission answer is returned as *Error; a
 // failure after admission is returned as *Error with ExitInternal.
 func (c *Client) Check(ctx context.Context, program string, params api.CheckParams, onDepth func(api.CheckDepth) error) (*api.CheckResponse, error) {
-	u := c.BaseURL + "/v1/check"
-	if q := params.Values().Encode(); q != "" {
-		u += "?" + q
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, u, strings.NewReader(program))
-	if err != nil {
-		return nil, err
-	}
-	req.Header.Set("Content-Type", "text/plain")
-	resp, err := c.httpClient().Do(req)
+	resp, err := c.post(ctx, "/v1/check", params.Values(), "text/plain", program)
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, errorFromResponse(resp)
-	}
-
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var ev api.CheckEvent
-		if err := json.Unmarshal([]byte(line), &ev); err != nil {
-			return nil, fmt.Errorf("absolverd: bad check line %q: %w", line, err)
-		}
+	var out *api.CheckResponse
+	err = readEvents(resp.Body, "check", func(ev api.CheckEvent) (bool, error) {
 		switch ev.Type {
 		case api.EventResult:
-			drainBody(resp.Body)
-			return ev.Result, nil
+			out = ev.Result
+			return true, nil
 		case api.EventError:
-			drainBody(resp.Body)
-			return nil, &Error{StatusCode: http.StatusOK, ExitCode: api.ExitInternal, Message: ev.Error}
+			return true, streamError(ev.Error)
 		case api.CheckEventDepth:
 			if onDepth != nil && ev.Depth != nil {
-				if err := onDepth(*ev.Depth); err != nil {
-					return nil, err
-				}
+				return false, onDepth(*ev.Depth)
 			}
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return false, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	return nil, fmt.Errorf("absolverd: check stream ended without a result event")
+	return out, nil
 }
 
 // Metrics scrapes GET /metrics into a flat map keyed by series name

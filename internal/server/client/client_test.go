@@ -108,26 +108,45 @@ func TestErrorResponsesReuseConnection(t *testing.T) {
 	}
 }
 
-// TestSolveReusesConnection: successful solves must also ride one
-// connection — Solve stops decoding at the end of the JSON value, so the
-// trailing newline has to be drained explicitly.
+// TestSolveReusesConnection: successful solves, batches and checks must
+// also ride one connection — Solve stops decoding at the end of the JSON
+// value and the stream readers stop at the terminal event, so the rest of
+// the body has to be drained explicitly.
 func TestSolveReusesConnection(t *testing.T) {
 	c, counter := newCountingServer(t, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(http.StatusOK)
 		// Chunked with a late terminator, as for any streamed or large
 		// model payload — see TestErrorResponsesReuseConnection.
-		json.NewEncoder(w).Encode(api.SolveResponse{Status: "unsat"})
+		enc := json.NewEncoder(w)
+		switch r.URL.Path {
+		case "/v1/batch":
+			enc.Encode(api.BatchEvent{Type: api.EventItem, Item: &api.BatchItemResult{Result: &api.SolveResponse{Status: "unsat"}}})
+			enc.Encode(api.BatchEvent{Type: api.EventEnd, Summary: &api.BatchSummary{Total: 1, Solved: 1}})
+		case "/v1/check":
+			enc.Encode(api.CheckEvent{Type: api.CheckEventDepth, Depth: &api.CheckDepth{Phase: "base", Status: "unsat"}})
+			enc.Encode(api.CheckEvent{Type: api.EventResult, Result: &api.CheckResponse{Verdict: api.CheckProved}})
+		default:
+			enc.Encode(api.SolveResponse{Status: "unsat"})
+		}
 		w.(http.Flusher).Flush()
 		time.Sleep(50 * time.Millisecond)
 	})
+	ctx := context.Background()
 	for i := 0; i < 3; i++ {
-		out, err := c.Solve(context.Background(), "p cnf 1 2\n1 0\n-1 0\n", api.SolveParams{})
+		out, err := c.Solve(ctx, "p cnf 1 2\n1 0\n-1 0\n", api.SolveParams{})
 		if err != nil || out.Status != "unsat" {
-			t.Fatalf("request %d: out=%+v err=%v", i, out, err)
+			t.Fatalf("solve %d: out=%+v err=%v", i, out, err)
+		}
+		items, summary, err := c.Batch(ctx, "p cnf 1 1\n1 0\n", []api.BatchInstance{{Assume: []int{-1}}}, api.SolveParams{})
+		if err != nil || len(items) != 1 || summary == nil || summary.Solved != 1 {
+			t.Fatalf("batch %d: items=%+v summary=%+v err=%v", i, items, summary, err)
+		}
+		res, err := c.Check(ctx, "node n() returns (ok: bool); let ok = true; tel;", api.CheckParams{K: 1}, nil)
+		if err != nil || res.Verdict != api.CheckProved {
+			t.Fatalf("check %d: res=%+v err=%v", i, res, err)
 		}
 	}
 	if got := counter.count(); got != 1 {
-		t.Fatalf("3 sequential solves used %d connections, want 1 (body not drained?)", got)
+		t.Fatalf("3 rounds of solve, batch and check used %d connections, want 1 (body not drained?)", got)
 	}
 }

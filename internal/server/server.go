@@ -16,6 +16,9 @@
 //     context.
 //   - Shutdown stops admitting (503), drains every admitted job, then
 //     stops the workers — nothing admitted is ever dropped.
+//   - A panic while a worker decides a job fails only that request (HTTP
+//     500, or a final error event on a stream) and counts as verdict
+//     "error"; the worker and the daemon keep serving.
 package server
 
 import (
@@ -133,27 +136,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// job is one admitted solve travelling from handler to worker and back.
-type job struct {
-	ctx      context.Context
-	problem  *core.Problem
-	params   api.SolveParams
-	admitted time.Time
-	// events carries trace events to the streaming handler (nil for
-	// plain requests); the worker closes it when the solve returns.
-	events chan core.Event
-	// done closes after outcome/err are set and events is closed.
-	done    chan struct{}
-	outcome Outcome
-	err     error
-	// batch, when set, makes the worker run a whole session batch instead
-	// of one solve; outcome/err stay zero and events stays nil.
-	batch *batchJob
-	// check, when set, makes the worker run a model-checking job instead;
-	// outcome/err stay zero and events stays nil.
-	check *checkJob
-}
-
 // Server owns the queue, the worker pool, and the HTTP handlers. Create
 // with New, call Start, serve Handler, stop with Shutdown.
 type Server struct {
@@ -192,8 +174,8 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// Handler returns the HTTP handler serving /v1/solve, /metrics, /healthz,
-// and /readyz.
+// Handler returns the HTTP handler serving /v1/solve, /v1/batch,
+// /v1/check, /metrics, /healthz and /readyz.
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Start launches the worker pool.
@@ -282,114 +264,6 @@ func (s *Server) retryAfterHint(draining bool) string {
 	return strconv.Itoa(secs)
 }
 
-// admit puts j on the job queue and reports true. Otherwise it answers
-// the request itself, 503 while the server drains or 429 when the queue
-// is full, and reports false. The mutex closes the race against Shutdown:
-// no job is admitted after draining is set. The non-blocking send
-// implements the bounded queue. jobs.Add comes before the send, because a
-// worker can finish the job and call jobs.Done before the send returns.
-func (s *Server) admit(w http.ResponseWriter, j *job) bool {
-	s.mu.Lock()
-	if !s.started || s.draining {
-		s.mu.Unlock()
-		s.metrics.reject(rejectDraining)
-		w.Header().Set("Retry-After", s.retryAfterHint(true))
-		writeError(w, http.StatusServiceUnavailable, api.ExitUnknown, "server is draining")
-		return false
-	}
-	s.jobs.Add(1)
-	select {
-	case s.queue <- j:
-		s.mu.Unlock()
-		return true
-	default:
-		s.jobs.Done()
-		s.mu.Unlock()
-		s.metrics.reject(rejectQueueFull)
-		w.Header().Set("Retry-After", s.retryAfterHint(false))
-		writeError(w, http.StatusTooManyRequests, api.ExitUnknown,
-			"queue full (%d workers busy, %d queued)", s.cfg.Workers, cap(s.queue))
-		return false
-	}
-}
-
-func (s *Server) runJob(j *job) {
-	defer s.jobs.Done()
-	s.busy.Add(1)
-	defer s.busy.Add(-1)
-	wait := time.Since(j.admitted)
-
-	if d := s.cfg.SolveDelay; d > 0 {
-		select {
-		case <-time.After(d):
-		case <-j.ctx.Done():
-		}
-	}
-
-	if j.batch != nil {
-		start := time.Now()
-		s.runBatch(j, wait)
-		close(j.done)
-		s.logf("absolverd: batch done instances=%d wait=%v run=%v",
-			len(j.batch.instances), wait, time.Since(start))
-		return
-	}
-
-	if j.check != nil {
-		start := time.Now()
-		s.runCheckJob(j, wait)
-		close(j.done)
-		s.logf("absolverd: check done k=%d wait=%v run=%v",
-			j.check.params.K, wait, time.Since(start))
-		return
-	}
-
-	var trace core.TraceFunc
-	if j.events != nil {
-		events, ctx := j.events, j.ctx
-		// Blocking send gives the stream natural backpressure; the job
-		// context unblocks it when the client goes away or the deadline
-		// fires, so a dead reader can never wedge a worker.
-		trace = func(ev core.Event) {
-			select {
-			case events <- ev:
-			case <-ctx.Done():
-			}
-		}
-	}
-
-	start := time.Now()
-	j.outcome, j.err = s.solve(j.ctx, j.problem, j.params, trace)
-	if j.events != nil {
-		close(j.events)
-	}
-	close(j.done)
-
-	verdict := classify(j.outcome.Result.Status, j.err)
-	s.metrics.jobDone(verdict, j.outcome.Result.Stats, wait)
-	s.logf("absolverd: job done verdict=%s wait=%v solve=%v", verdict, wait, time.Since(start))
-}
-
-// classify buckets a finished job for the solves_total counter.
-func classify(status core.Status, err error) string {
-	switch {
-	case err == nil, errors.Is(err, core.ErrTimeout),
-		errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, core.ErrIterationLimit):
-		switch status {
-		case core.StatusSat:
-			return verdictSat
-		case core.StatusUnsat:
-			return verdictUnsat
-		}
-		return verdictUnknown
-	case errors.Is(err, context.Canceled):
-		return verdictCanceled
-	default:
-		return verdictError
-	}
-}
-
 // solve runs the configured SolveFunc, defaulting to the engine.
 func (s *Server) solve(ctx context.Context, p *core.Problem, params api.SolveParams, trace core.TraceFunc) (Outcome, error) {
 	if s.cfg.SolveFunc != nil {
@@ -466,56 +340,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, api.ExitUsage, "POST a problem body to /v1/solve")
+	if !post(w, r, "problem") {
 		return
 	}
-	params, err := api.ParseParams(r.URL.Query())
+	params, problem, err := s.solveRequest(w, r)
 	if err != nil {
-		s.metrics.reject(rejectBadRequest)
-		writeError(w, http.StatusBadRequest, api.ExitUsage, "bad parameters: %v", err)
-		return
-	}
-	if params.Portfolio > s.cfg.MaxPortfolio {
-		s.metrics.reject(rejectBadRequest)
-		writeError(w, http.StatusBadRequest, api.ExitUsage,
-			"portfolio %d exceeds the server maximum %d", params.Portfolio, s.cfg.MaxPortfolio)
-		return
-	}
-	if params.ExchangeURL != "" && !s.cfg.AllowExchange {
-		s.metrics.reject(rejectBadRequest)
-		writeError(w, http.StatusBadRequest, api.ExitUsage,
-			"exchange_url requires a worker-mode server (absolverd -worker)")
-		return
-	}
-
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	var problem *core.Problem
-	switch params.Format {
-	case api.FormatSMTLIB:
-		b, perr := smtlib.ParseReader(body, s.cfg.SMTLIBLimits)
-		if perr == nil {
-			problem = b.ToProblem()
-		} else {
-			err = perr
-		}
-	default:
-		problem, err = dimacs.ParseLimited(body, s.cfg.DIMACSLimits)
-	}
-	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) || errors.Is(err, dimacs.ErrInputTooLarge) || errors.Is(err, smtlib.ErrInputTooLarge) {
-			s.metrics.reject(rejectBodyTooLarge)
-			writeError(w, http.StatusRequestEntityTooLarge, api.ExitUsage, "problem body too large: %v", err)
-			return
-		}
-		s.metrics.reject(rejectBadRequest)
-		writeError(w, http.StatusBadRequest, api.ExitUsage, "parse error: %v", err)
-		return
-	}
-	if err := problem.Validate(); err != nil {
-		s.metrics.reject(rejectBadRequest)
-		writeError(w, http.StatusBadRequest, api.ExitUsage, "invalid problem: %v", err)
+		s.refuse(w, "problem", err)
 		return
 	}
 
@@ -546,61 +376,56 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.metrics.cacheMiss()
 	}
 
-	timeout := params.Timeout
-	if timeout <= 0 {
-		timeout = s.cfg.DefaultTimeout
-	}
-	if timeout > s.cfg.MaxTimeout {
-		timeout = s.cfg.MaxTimeout
-	}
-	// The deadline starts at admission: it covers queue wait plus solve,
-	// and the request context ties the job to the client's connection —
-	// a disconnect cancels the solve.
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
-
-	j := &job{
-		ctx:      ctx,
-		problem:  problem,
-		params:   params,
-		admitted: time.Now(),
-		done:     make(chan struct{}),
-	}
-	if params.Stream {
-		j.events = make(chan core.Event, 64)
-	}
-
-	if !s.admit(w, j) {
-		return
-	}
-
-	if params.Stream {
-		s.streamResponse(w, j)
-		return
-	}
-	<-j.done
-	resp, errResp := buildResponse(j)
-	if errResp != nil {
-		writeJSON(w, http.StatusInternalServerError, errResp)
-		return
-	}
-	// Only definitive, error-free outcomes enter the cache: unknown may be
-	// deadline-relative and would poison later requests with laxer limits.
-	if cacheKey != "" && j.err == nil {
-		if st := j.outcome.Result.Status; st == core.StatusSat || st == core.StatusUnsat {
-			s.cache.put(cacheKey, cacheEntry{resp: resp, model: j.outcome.Result.Model})
+	s.serve(w, r, params.Timeout, params.Stream, func(ctx context.Context, wait time.Duration, emit func(any)) (any, string) {
+		var trace core.TraceFunc
+		if params.Stream {
+			trace = func(ev core.Event) { emit(api.TraceEvent(ev)) }
 		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+		out, err := s.solve(ctx, problem, params, trace)
+		verdict := classify(out.Result.Status, err)
+		s.metrics.jobDone(verdict, out.Result.Stats, wait)
+		resp, errResp := outcomeResponse(out, err)
+		// Only definitive, error-free outcomes enter the cache: unknown may
+		// be deadline-relative and would poison later requests with laxer
+		// limits.
+		if cacheKey != "" && err == nil && (verdict == verdictSat || verdict == verdictUnsat) {
+			s.cache.put(cacheKey, cacheEntry{resp: resp, model: out.Result.Model})
+		}
+		switch {
+		case errResp != nil:
+			return errResp, "verdict=" + verdict
+		case params.Stream:
+			return api.StreamEvent{Type: api.EventResult, Result: &resp}, "verdict=" + verdict
+		}
+		return resp, "verdict=" + verdict
+	})
 }
 
-// buildResponse renders a finished job; a nil error response means HTTP 200.
-func buildResponse(j *job) (api.SolveResponse, *api.ErrorResponse) {
-	return outcomeResponse(j.outcome, j.err)
+// solveRequest validates a /v1/solve request's parameters and decodes its
+// problem.
+func (s *Server) solveRequest(w http.ResponseWriter, r *http.Request) (api.SolveParams, *core.Problem, error) {
+	params, err := api.ParseParams(r.URL.Query())
+	switch {
+	case err != nil:
+		return params, nil, fmt.Errorf("bad parameters: %w", err)
+	case params.Portfolio > s.cfg.MaxPortfolio:
+		return params, nil, fmt.Errorf("portfolio %d exceeds the server maximum %d", params.Portfolio, s.cfg.MaxPortfolio)
+	case params.ExchangeURL != "" && !s.cfg.AllowExchange:
+		return params, nil, errors.New("exchange_url requires a worker-mode server (absolverd -worker)")
+	}
+	problem, err := s.decodeProblem(params.Format, http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		return params, nil, bodyError("parse error", err)
+	}
+	if err := problem.Validate(); err != nil {
+		return params, nil, fmt.Errorf("invalid problem: %w", err)
+	}
+	return params, problem, nil
 }
 
 // outcomeResponse renders one solve outcome — a whole /v1/solve job or a
-// single batch instance — onto the wire types.
+// single batch instance — onto the wire types; a failure renders as an
+// error response instead.
 func outcomeResponse(out Outcome, err error) (api.SolveResponse, *api.ErrorResponse) {
 	res := out.Result
 	resp := api.SolveResponse{
@@ -612,57 +437,10 @@ func outcomeResponse(out Outcome, err error) (api.SolveResponse, *api.ErrorRespo
 	if res.Status == core.StatusSat && res.Model != nil {
 		resp.Model = api.ModelFrom(*res.Model)
 	}
-	switch {
-	case err == nil:
-	case errors.Is(err, core.ErrTimeout), errors.Is(err, context.DeadlineExceeded):
-		resp.Reason = "timeout"
-	case errors.Is(err, context.Canceled):
-		resp.Reason = "canceled"
-	case errors.Is(err, core.ErrIterationLimit):
-		resp.Reason = err.Error()
-	default:
-		return resp, &api.ErrorResponse{Error: err.Error(), ExitCode: api.ExitInternal}
+	why, ok := reason(err)
+	if !ok {
+		return resp, failure(why)
 	}
+	resp.Reason = why
 	return resp, nil
-}
-
-// streamResponse forwards trace events as NDJSON lines while the solve
-// runs, then appends the final result (or error) event. The admission
-// outcome fixed the status code already: streaming bodies are always 200.
-func (s *Server) streamResponse(w http.ResponseWriter, j *job) {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	flush := func() {
-		if fl != nil {
-			fl.Flush()
-		}
-	}
-	flush()
-
-	enc := json.NewEncoder(w)
-	clientGone := false
-	for ev := range j.events {
-		if clientGone {
-			continue // keep draining so the worker's sends never park
-		}
-		if err := enc.Encode(api.TraceEvent(ev)); err != nil {
-			clientGone = true
-			continue
-		}
-		flush()
-	}
-	<-j.done
-	if clientGone {
-		return
-	}
-	resp, errResp := buildResponse(j)
-	var final api.StreamEvent
-	if errResp != nil {
-		final = api.StreamEvent{Type: api.EventError, Error: errResp.Error}
-	} else {
-		final = api.StreamEvent{Type: api.EventResult, Result: &resp}
-	}
-	_ = enc.Encode(final)
-	flush()
 }
