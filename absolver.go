@@ -103,7 +103,8 @@ const (
 var (
 	// ErrTimeout reports that Config.Timeout elapsed before a verdict.
 	ErrTimeout = core.ErrTimeout
-	// ErrIterationLimit reports that Config.MaxIterations was exceeded.
+	// ErrIterationLimit reports that a solve exceeded its SAT↔theory
+	// iteration bound.
 	ErrIterationLimit = core.ErrIterationLimit
 	// ErrModelRejected reports that a SAT model failed the independent
 	// certificate check (Config.CheckModels).

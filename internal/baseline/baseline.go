@@ -28,11 +28,12 @@
 package baseline
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"absolver/internal/core"
@@ -72,8 +73,6 @@ type Result struct {
 type MathSATLike struct {
 	// Timeout bounds the wall-clock solve time (0 = none).
 	Timeout time.Duration
-	// MaxIterations bounds SAT↔theory rounds (0 = 10M).
-	MaxIterations int
 }
 
 // Name returns the solver's display name.
@@ -82,9 +81,8 @@ func (m *MathSATLike) Name() string { return "mathsat-like" }
 // Solve decides the problem. Nonlinear atoms yield ErrNonlinear.
 func (m *MathSATLike) Solve(p *core.Problem) (Result, error) {
 	return lazySolve(p, lazyConfig{
-		timeout:       m.Timeout,
-		maxIterations: m.MaxIterations,
-		ground:        groundExclusions,
+		timeout: m.Timeout,
+		ground:  groundExclusions,
 	})
 }
 
@@ -95,8 +93,6 @@ type CVCLiteLike struct {
 	MemoryBudget int64
 	// Timeout bounds the wall-clock solve time (0 = none).
 	Timeout time.Duration
-	// MaxIterations bounds SAT↔theory rounds (0 = 10M).
-	MaxIterations int
 }
 
 // Name returns the solver's display name.
@@ -110,10 +106,9 @@ func (c *CVCLiteLike) Solve(p *core.Problem) (Result, error) {
 		budget = 256 << 20
 	}
 	return lazySolve(p, lazyConfig{
-		timeout:       c.Timeout,
-		maxIterations: c.MaxIterations,
-		ground:        groundFull,
-		proofBudget:   budget,
+		timeout:     c.Timeout,
+		ground:      groundFull,
+		proofBudget: budget,
 	})
 }
 
@@ -129,11 +124,13 @@ const (
 )
 
 type lazyConfig struct {
-	timeout       time.Duration
-	maxIterations int
-	ground        groundLevel
-	proofBudget   int64 // 0 = no proof logging
+	timeout     time.Duration
+	ground      groundLevel
+	proofBudget int64 // 0 = no proof logging
 }
+
+// maxIterations bounds the SAT↔theory rounds of one solve.
+const maxIterations = 10_000_000
 
 // lazySolve is the shared lazy DPLL(T) skeleton of both baselines.
 func lazySolve(p *core.Problem, cfg lazyConfig) (Result, error) {
@@ -145,10 +142,6 @@ func lazySolve(p *core.Problem, cfg lazyConfig) (Result, error) {
 		if !expr.IsLinear(a) {
 			return Result{}, fmt.Errorf("%w: %s", ErrNonlinear, a.String())
 		}
-	}
-	maxIter := cfg.maxIterations
-	if maxIter == 0 {
-		maxIter = 10_000_000
 	}
 	deadline := time.Time{}
 	if cfg.timeout > 0 {
@@ -183,8 +176,8 @@ func lazySolve(p *core.Problem, cfg lazyConfig) (Result, error) {
 	}
 	// Tight integration: bias the Boolean search towards asserting
 	// equalities (one cheap row) rather than disequalities (a case split).
-	for v, a := range bindings {
-		switch a.Op {
+	for _, v := range sortedKeys(bindings) {
+		switch bindings[v].Op {
 		case expr.CmpEQ:
 			s.SetPolarity(v, false)
 		case expr.CmpNE:
@@ -192,7 +185,7 @@ func lazySolve(p *core.Problem, cfg lazyConfig) (Result, error) {
 		}
 	}
 
-	for iter := 0; iter < maxIter; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		st.Iterations++
 		if !deadline.IsZero() && time.Now().After(deadline) {
 			return Result{Status: core.StatusUnknown, Stats: st}, ErrTimeout
@@ -208,16 +201,17 @@ func lazySolve(p *core.Problem, cfg lazyConfig) (Result, error) {
 			model = append(model, false)
 		}
 
-		// Assemble asserted atoms.
+		// Assemble asserted atoms in variable order, which fixes the LP row
+		// order and with it the IIS and the blocking clauses.
 		var asserted []struct {
 			lit  int
 			atom expr.Atom
 		}
-		for v, a := range bindings {
-			aa := a
+		for _, v := range sortedKeys(bindings) {
+			aa := bindings[v]
 			lit := v + 1
 			if !model[v] {
-				aa = a.Negate()
+				aa = aa.Negate()
 				lit = -lit
 			}
 			asserted = append(asserted, struct {
@@ -502,8 +496,8 @@ func groundLemmas(s *sat.Solver, bindings map[int]expr.Atom, exclusionsOnly bool
 		coeff float64
 	}
 	byVar := map[string][]uni{}
-	for v, a := range bindings {
-		la, ok := expr.LinearizeAtom(a)
+	for _, v := range sortedKeys(bindings) {
+		la, ok := expr.LinearizeAtom(bindings[v])
 		if !ok || len(la.Form.Coeffs) != 1 {
 			continue
 		}
@@ -515,7 +509,8 @@ func groundLemmas(s *sat.Solver, bindings map[int]expr.Atom, exclusionsOnly bool
 		}
 	}
 	lemmas := 0
-	for _, atoms := range byVar {
+	for _, name := range sortedKeys(byVar) {
+		atoms := byVar[name]
 		for i := 0; i < len(atoms); i++ {
 			for j := i + 1; j < len(atoms); j++ {
 				a, b := atoms[i], atoms[j]
@@ -540,6 +535,17 @@ func groundLemmas(s *sat.Solver, bindings map[int]expr.Atom, exclusionsOnly bool
 		}
 	}
 	return lemmas
+}
+
+// sortedKeys returns m's keys in ascending order. Iterating a map through
+// it keeps the search, and so every counter, the same from run to run.
+func sortedKeys[K cmp.Ordered, V any](m map[K]V) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 func normOp(op expr.CmpOp, coeff float64) expr.CmpOp {
@@ -582,13 +588,7 @@ func roundOf(x float64) float64 { return math.Round(x) }
 // firstFractional returns an integer variable whose witness value is more
 // than intTol away from an integer.
 func firstFractional(intVars map[string]bool, x map[string]float64, intTol float64) (string, float64, bool) {
-	// Deterministic order keeps runs reproducible.
-	names := make([]string, 0, len(intVars))
-	for v := range intVars {
-		names = append(names, v)
-	}
-	sort.Strings(names)
-	for _, v := range names {
+	for _, v := range sortedKeys(intVars) {
 		val, ok := x[v]
 		if !ok {
 			continue

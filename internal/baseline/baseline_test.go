@@ -8,6 +8,8 @@ import (
 
 	"absolver/internal/core"
 	"absolver/internal/expr"
+	"absolver/internal/fischer"
+	"absolver/internal/smtlib"
 )
 
 func atomT(t *testing.T, src string, dom expr.Domain) expr.Atom {
@@ -390,6 +392,33 @@ func TestNearlyCompleteArithmeticSudokuStyle(t *testing.T) {
 		}
 		if r.Model.Real["c4"] != 4 {
 			t.Fatalf("%s: c4 = %g, want 4", s.Name(), r.Model.Real["c4"])
+		}
+	}
+}
+
+// TestReproducibleStats: the baselines iterate their atom bindings in
+// variable order, so the LP row order, the lemma order and every counter
+// repeat from run to run (Tables 2 and 3 report theory_checks).
+func TestReproducibleStats(t *testing.T) {
+	for n := 1; n <= 2; n++ {
+		b, err := smtlib.Parse(fischer.Generate(fischer.Params{N: n}).SMTLIB())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := b.ToProblem()
+		for _, s := range solvers() {
+			var first Result
+			for run := 0; run < 5; run++ {
+				res, err := s.Solve(p.Clone())
+				if err != nil {
+					t.Fatalf("FISCHER%d %s: %v", n, s.Name(), err)
+				}
+				if run == 0 {
+					first = res
+				} else if res.Status != first.Status || res.Stats != first.Stats {
+					t.Fatalf("FISCHER%d %s run %d: %v %+v, run 0: %v %+v", n, s.Name(), run, res.Status, res.Stats, first.Status, first.Stats)
+				}
+			}
 		}
 	}
 }

@@ -6,7 +6,7 @@
 // losers; UNSAT needs every live cube UNSAT; a failed or unreachable
 // worker triggers requeue of its cube with capped exponential backoff
 // honouring Retry-After, so one crashed instance degrades throughput, not
-// correctness.
+// correctness. Each worker has one cube in flight at a time.
 //
 // SAT answers are never taken on faith: a worker's model is re-checked
 // against the full problem before it is allowed to cancel anyone — a
@@ -58,33 +58,18 @@ type Config struct {
 	// Peers are the worker base URLs (e.g. "http://10.0.0.2:8753"). At
 	// least one is required.
 	Peers []string
-	// HTTP is the transport used for worker requests (default
-	// http.DefaultClient; give it no global timeout — per-dispatch
-	// deadlines come from the solve context).
-	HTTP *http.Client
 	// Cube tunes the splitter. The default derives up to 8 cubes.
 	Cube cube.Options
-	// PerPeer is the number of concurrent dispatch loops per worker
-	// (default 1 — one cube in flight per instance; raise it for workers
-	// with deep queues).
-	PerPeer int
 	// MaxAttempts bounds dispatch attempts per cube, first try included
 	// (default 4). A cube that exhausts them fails the whole solve with an
 	// error — silently reporting "unsat" while a region went unexplored
 	// would be a soundness bug.
 	MaxAttempts int
-	// RetryBase and RetryMax shape the exponential backoff between a
-	// cube's attempts (defaults 250ms and 5s). A worker's Retry-After
-	// hint, when longer, wins.
-	RetryBase time.Duration
-	RetryMax  time.Duration
 	// RelayURL, when set, is the externally reachable URL of this
 	// coordinator's lemma relay (mounted via RelayHandler); workers are
 	// told to attach their engines to <RelayURL>/<job>. Empty disables
 	// cross-worker lemma sharing.
 	RelayURL string
-	// Exchange tunes each job's relay store (caps, shards).
-	Exchange exchange.Options
 	// Observer, when set, receives cube lifecycle events.
 	Observer Observer
 	// Logf, when set, receives one line per dispatch outcome.
@@ -92,23 +77,18 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.HTTP == nil {
-		c.HTTP = http.DefaultClient
-	}
-	if c.PerPeer <= 0 {
-		c.PerPeer = 1
-	}
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = 4
 	}
-	if c.RetryBase <= 0 {
-		c.RetryBase = 250 * time.Millisecond
-	}
-	if c.RetryMax <= 0 {
-		c.RetryMax = 5 * time.Second
-	}
 	return c
 }
+
+// retryBase and retryMax shape the exponential backoff between a cube's
+// attempts. A worker's Retry-After hint, when longer, wins.
+const (
+	retryBase = 250 * time.Millisecond
+	retryMax  = 5 * time.Second
+)
 
 // Coordinator fans solves out to a fixed set of worker instances. Create
 // with New; Solve is safe for concurrent use (each call runs its own
@@ -116,6 +96,9 @@ func (c Config) withDefaults() Config {
 type Coordinator struct {
 	cfg     Config
 	clients []*client.Client
+	// backoffBase and backoffMax are retryBase and retryMax, except in
+	// tests that shorten them.
+	backoffBase, backoffMax time.Duration
 
 	jobSeq atomic.Int64
 
@@ -132,11 +115,10 @@ func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Peers) == 0 {
 		return nil, errors.New("cluster: no worker peers configured")
 	}
-	co := &Coordinator{cfg: cfg, relays: map[string]*exchange.Relay{}}
+	co := &Coordinator{cfg: cfg, relays: map[string]*exchange.Relay{},
+		backoffBase: retryBase, backoffMax: retryMax}
 	for _, peer := range cfg.Peers {
-		c := client.New(peer)
-		c.HTTP = cfg.HTTP
-		co.clients = append(co.clients, c)
+		co.clients = append(co.clients, client.New(peer))
 	}
 	return co, nil
 }
@@ -252,7 +234,7 @@ func (co *Coordinator) Solve(ctx context.Context, p *core.Problem, params api.So
 	jobID := strconv.FormatInt(co.jobSeq.Add(1), 10)
 	var relayURL string
 	if co.cfg.RelayURL != "" {
-		relay := exchange.NewRelay(co.cfg.Exchange)
+		relay := exchange.NewRelay()
 		co.relayMu.Lock()
 		co.relays[jobID] = relay
 		co.relayMu.Unlock()
@@ -278,13 +260,11 @@ func (co *Coordinator) Solve(ctx context.Context, p *core.Problem, params api.So
 
 	var wg sync.WaitGroup
 	for pi := range co.clients {
-		for k := 0; k < co.cfg.PerPeer; k++ {
-			wg.Add(1)
-			go func(pi, k int) {
-				defer wg.Done()
-				co.dispatchLoop(runCtx, r, queue, p, pi, k, jobID, relayURL, params)
-			}(pi, k)
-		}
+		wg.Add(1)
+		go func(pi int) {
+			defer wg.Done()
+			co.dispatchLoop(runCtx, r, queue, p, pi, jobID, relayURL, params)
+		}(pi)
 	}
 
 	select {
@@ -318,7 +298,7 @@ func (co *Coordinator) Solve(ctx context.Context, p *core.Problem, params api.So
 
 // dispatchLoop pulls cubes off the queue and runs them on one peer until
 // the round closes.
-func (co *Coordinator) dispatchLoop(ctx context.Context, r *round, queue chan *task, p *core.Problem, peer, slot int, jobID, relayURL string, params api.SolveParams) {
+func (co *Coordinator) dispatchLoop(ctx context.Context, r *round, queue chan *task, p *core.Problem, peer int, jobID, relayURL string, params api.SolveParams) {
 	for {
 		var t *task
 		select {
@@ -332,10 +312,10 @@ func (co *Coordinator) dispatchLoop(ctx context.Context, r *round, queue chan *t
 		wparams.Stream = false
 		wparams.Timeout = 0 // the dispatch context carries the deadline
 		if relayURL != "" {
-			// Node names must be unique per engine attachment: job, cube,
-			// attempt and slot all vary.
+			// Node names must be unique per engine attachment: job, cube
+			// and attempt all vary.
 			wparams.ExchangeURL = relayURL
-			wparams.ExchangeNode = fmt.Sprintf("j%s.c%d.a%d.p%d.%d", jobID, t.index, t.attempts, peer, slot)
+			wparams.ExchangeNode = fmt.Sprintf("j%s.c%d.a%d.p%d", jobID, t.index, t.attempts, peer)
 		}
 
 		if co.cfg.Observer != nil {
@@ -398,7 +378,7 @@ func (co *Coordinator) dispatchLoop(ctx context.Context, r *round, queue chan *t
 		if co.cfg.Observer != nil {
 			co.cfg.Observer.CubeRequeued()
 		}
-		delay := backoffDelay(co.cfg.RetryBase, co.cfg.RetryMax, t.attempts, retryAfterOf(err))
+		delay := backoffDelay(co.backoffBase, co.backoffMax, t.attempts, retryAfterOf(err))
 		select {
 		case <-ctx.Done():
 			return

@@ -175,16 +175,11 @@ func TestRequeueOnFlakyWorker(t *testing.T) {
 	t.Cleanup(flakySrv.Close)
 
 	o := &obs{}
-	co, err := New(Config{
+	co := newFastRetry(t, Config{
 		Peers:       []string{flakySrv.URL},
 		Observer:    o,
 		MaxAttempts: 6,
-		RetryBase:   5 * time.Millisecond,
-		RetryMax:    20 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 5*time.Millisecond, 20*time.Millisecond)
 	out, err := co.Solve(context.Background(), unsatProblem(), api.SolveParams{}, nil)
 	if err != nil || out.Result.Status != core.StatusUnsat {
 		t.Fatalf("got %+v err=%v", out, err)
@@ -201,15 +196,10 @@ func TestAttemptExhaustionFailsLoudly(t *testing.T) {
 		w.WriteHeader(http.StatusInternalServerError)
 	}))
 	t.Cleanup(dead.Close)
-	co, err := New(Config{
+	co := newFastRetry(t, Config{
 		Peers:       []string{dead.URL},
 		MaxAttempts: 2,
-		RetryBase:   time.Millisecond,
-		RetryMax:    2 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, time.Millisecond, 2*time.Millisecond)
 	out, err := co.Solve(context.Background(), unsatProblem(), api.SolveParams{}, nil)
 	if err == nil {
 		t.Fatalf("dead cluster returned %+v without error", out)
@@ -228,10 +218,7 @@ func TestTerminalRejectionFailsRound(t *testing.T) {
 		fmt.Fprint(w, `{"error":"nope","exit_code":2}`)
 	}))
 	t.Cleanup(bad.Close)
-	co, err := New(Config{Peers: []string{bad.URL}, MaxAttempts: 5, RetryBase: time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	co := newFastRetry(t, Config{Peers: []string{bad.URL}, MaxAttempts: 5}, time.Millisecond, retryMax)
 	p := unsatProblem()
 	if _, err := co.Solve(context.Background(), p, api.SolveParams{}, nil); err == nil {
 		t.Fatal("400-rejected round succeeded")
@@ -255,15 +242,10 @@ func TestBadModelRejected(t *testing.T) {
 	t.Cleanup(liar.Close)
 	real := newWorker(t, server.Config{Workers: 2})
 
-	co, err := New(Config{
+	co := newFastRetry(t, Config{
 		Peers:       []string{liar.URL, real},
 		MaxAttempts: 8,
-		RetryBase:   time.Millisecond,
-		RetryMax:    5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, time.Millisecond, 5*time.Millisecond)
 	// UNSAT problem: the liar says sat everywhere, the real worker says
 	// unsat cube by cube. The round must end unsat or, if the liar burned
 	// a cube's attempts, an error — never sat.
@@ -345,4 +327,17 @@ func TestClusterTimeout(t *testing.T) {
 	if out.Result.Status != core.StatusUnknown {
 		t.Fatalf("status = %v, want unknown", out.Result.Status)
 	}
+}
+
+// newFastRetry builds a coordinator whose retry backoff runs from base to
+// max instead of retryBase to retryMax, so requeue paths run in
+// milliseconds.
+func newFastRetry(t *testing.T, cfg Config, base, max time.Duration) *Coordinator {
+	t.Helper()
+	co, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	co.backoffBase, co.backoffMax = base, max
+	return co
 }

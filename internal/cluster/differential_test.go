@@ -141,16 +141,11 @@ func TestWorkerKilledMidCube(t *testing.T) {
 	survivor := newWorker(t, server.Config{Workers: 2})
 
 	o := &obs{}
-	co, err := New(Config{
+	co := newFastRetry(t, Config{
 		Peers:       []string{victimSrv.URL, survivor},
 		Observer:    o,
 		MaxAttempts: 10,
-		RetryBase:   5 * time.Millisecond,
-		RetryMax:    25 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, 5*time.Millisecond, 25*time.Millisecond)
 
 	type answer struct {
 		out server.Outcome

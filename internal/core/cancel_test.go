@@ -237,7 +237,7 @@ func TestSolveContextCancelMidNESplit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	shim := &cancelOnNthLinear{inner: NewSimplexSolver(), cancel: cancel, n: 10}
-	cfg := Config{MaxNESplits: 1 << 30, NoGroundLemmas: true, Linear: shim}
+	cfg := Config{NoGroundLemmas: true, Linear: shim}
 	eng := NewEngine(p, cfg)
 	start := time.Now()
 	res, err := eng.SolveContext(ctx)

@@ -61,11 +61,6 @@ type Config struct {
 	// NoGroundLemmas disables the static pair-lemma grounding pass that
 	// seeds the Boolean skeleton with theory-valid clauses (ablation knob).
 	NoGroundLemmas bool
-	// MaxIterations bounds SAT↔theory iterations (0 = 1e6).
-	MaxIterations int
-	// MaxNESplits bounds the disequality case-split tree per theory check
-	// (0 = 4096).
-	MaxNESplits int
 	// Timeout bounds the wall-clock time of Solve (0 = none). Exceeding it
 	// returns ErrTimeout with StatusUnknown. It composes with the context
 	// passed to SolveContext: whichever deadline fires first wins.
@@ -92,10 +87,6 @@ type Config struct {
 	// must be private to this engine — it carries the engine's import
 	// cursor.
 	Exchange LemmaExchange
-	// MaxSharedLemmas caps how many peer lemmas this engine imports over
-	// its lifetime (0 = 1<<14). Publishing is not capped here; the store
-	// applies its own size cap.
-	MaxSharedLemmas int
 	// NoInprocess disables the Boolean solver's inprocessing passes
 	// (subsumption, failed-literal probing) when the solver supports the
 	// toggle (ablation knob; the differential suites run both sides).
@@ -103,9 +94,6 @@ type Config struct {
 	// NoTheoryCache disables the theory-verdict cache that memoises
 	// theoryCheck results per asserted-atom projection (ablation knob).
 	NoTheoryCache bool
-	// TheoryCacheSize caps the number of cached theory verdicts
-	// (0 = 8192). At capacity the cache is cleared and rebuilt.
-	TheoryCacheSize int
 	// Trace, when non-nil, receives a structured Event per engine
 	// iteration. Use WriterTrace to reproduce the stand-alone tool's -v
 	// text output.
@@ -116,8 +104,8 @@ type Config struct {
 	// many would-be lossy blocks become definitive sat/unsat verdicts;
 	// this knob is the ablation switch and the escape hatch.
 	NoPolyAR bool
-	// PolyAR tunes the fallback's budgets (regions, workers, LP pivots);
-	// the zero value means polyar's defaults. Ignored when NoPolyAR.
+	// PolyAR sets the fallback's region budget; the zero value means
+	// polyar's default. Ignored when NoPolyAR.
 	PolyAR polyar.Options
 }
 
@@ -280,12 +268,6 @@ func (c Config) withDefaults() Config {
 	if c.Nonlinear == nil {
 		c.Nonlinear = NewPenaltySolver()
 	}
-	if c.MaxIterations == 0 {
-		c.MaxIterations = 1000000
-	}
-	if c.MaxNESplits == 0 {
-		c.MaxNESplits = 4096
-	}
 	return c
 }
 
@@ -442,7 +424,18 @@ type Result struct {
 	Stats  Stats
 }
 
-// ErrIterationLimit is returned when MaxIterations is exceeded.
+const (
+	// maxIterations bounds SAT↔theory iterations per solve.
+	maxIterations = 1000000
+	// maxNESplits bounds the disequality case-split tree per theory check.
+	maxNESplits = 4096
+	// theoryCacheSize caps the number of cached theory verdicts; at
+	// capacity the cache is cleared and rebuilt.
+	theoryCacheSize = 8192
+)
+
+// ErrIterationLimit is returned when a solve exceeds its SAT↔theory
+// iteration bound (one million).
 var ErrIterationLimit = errors.New("core: iteration limit exceeded")
 
 // ErrTimeout is returned when Config.Timeout elapses before a verdict.
@@ -469,8 +462,6 @@ type Engine struct {
 	// sharedSeen holds the canonical keys of every clause the engine knows,
 	// for exchange dedup (maintained only when Config.Exchange is set).
 	sharedSeen map[string]bool
-	// importedCount is the number of peer lemmas accepted so far.
-	importedCount int
 	// tcache memoises theory verdicts per asserted-atom projection.
 	tcache map[string]theoryVerdict
 	// assumps are assumption literals (DIMACS) applied to every Boolean
@@ -566,7 +557,7 @@ func (e *Engine) solve(outer context.Context) (Result, error) {
 		ctx, cancel = context.WithTimeout(outer, e.cfg.Timeout)
 		defer cancel()
 	}
-	for iter := 0; iter < e.cfg.MaxIterations; iter++ {
+	for iter := 0; iter < maxIterations; iter++ {
 		if err := ctx.Err(); err != nil {
 			return Result{Status: StatusUnknown, Stats: e.st}, e.cancelErr(outer, err)
 		}
@@ -1149,7 +1140,7 @@ func (e *Engine) checkLinearWithNE(ctx context.Context, rows []lp.Constraint, ne
 	}
 
 	// DFS over case splits of violated disequalities.
-	budget := e.cfg.MaxNESplits
+	budget := maxNESplits
 	st, x, conflict := e.neSplit(ctx, rows, neqs, &budget)
 	if st == lp.Feasible {
 		return lp.Feasible, x, nil

@@ -73,17 +73,14 @@ func (e *Engine) publishShared(clause []int) {
 // a lazy-loop iteration. Clauses the engine already knows (its own log, or
 // an earlier import) are dropped and counted as deduped; accepted clauses
 // are added like blocking clauses — immediately in incremental mode, via
-// the next Reset in restart mode — and count against MaxSharedLemmas.
-// Returns the number of clauses accepted this call.
+// the next Reset in restart mode. Returns the number of clauses accepted
+// this call.
 func (e *Engine) importShared() (int, error) {
-	if e.cfg.Exchange == nil || e.importedCount >= e.maxSharedLemmas() {
+	if e.cfg.Exchange == nil {
 		return 0, nil
 	}
 	accepted := 0
 	for _, cl := range e.cfg.Exchange.Import() {
-		if e.importedCount >= e.maxSharedLemmas() {
-			break
-		}
 		key := litSetKey(cl)
 		if e.sharedSeen[key] {
 			e.st.LemmasDeduped++
@@ -93,7 +90,6 @@ func (e *Engine) importShared() (int, error) {
 			e.sharedSeen = map[string]bool{}
 		}
 		e.sharedSeen[key] = true
-		e.importedCount++
 		e.st.LemmasImported++
 		accepted++
 		e.recordLemma(cl, LemmaImported)
@@ -108,14 +104,6 @@ func (e *Engine) importShared() (int, error) {
 		}
 	}
 	return accepted, nil
-}
-
-// maxSharedLemmas returns the import cap (Config.MaxSharedLemmas, 0 = 1<<14).
-func (e *Engine) maxSharedLemmas() int {
-	if e.cfg.MaxSharedLemmas > 0 {
-		return e.cfg.MaxSharedLemmas
-	}
-	return 1 << 14
 }
 
 // ---------------------------------------------------------------------------
@@ -154,15 +142,6 @@ func (e *Engine) modelKey(model []bool) string {
 	return string(b)
 }
 
-// theoryCacheCap returns the cache's entry cap (Config.TheoryCacheSize,
-// 0 = 8192).
-func (e *Engine) theoryCacheCap() int {
-	if e.cfg.TheoryCacheSize > 0 {
-		return e.cfg.TheoryCacheSize
-	}
-	return 8192
-}
-
 // theoryCheckCached memoises theoryCheck on the asserted-atom projection of
 // the model. Revisited projections — common under AllModels enumeration
 // (models differing only on unbound variables) and Boolean restarts — skip
@@ -184,7 +163,7 @@ func (e *Engine) theoryCheckCached(ctx context.Context, model []bool) (theoryVer
 		return v, false
 	}
 	e.st.TheoryCacheMisses++
-	if e.tcache == nil || len(e.tcache) >= e.theoryCacheCap() {
+	if e.tcache == nil || len(e.tcache) >= theoryCacheSize {
 		e.tcache = make(map[string]theoryVerdict, 64)
 	}
 	e.tcache[key] = copyVerdict(v)

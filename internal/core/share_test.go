@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func contradictionProblem(t *testing.T) *Problem {
 // publishes it; engine B imports the clause at the top of its first
 // iteration and closes the search space without a single theory check.
 func TestExchangeImportSkipsRediscovery(t *testing.T) {
-	ex := exchange.New(exchange.Options{})
+	ex := exchange.New()
 
 	// NoGroundLemmas so the conflict must be found by the simplex, not by
 	// static grounding.
@@ -99,7 +100,7 @@ func TestExchangeImportSkipsRediscovery(t *testing.T) {
 // already derived the exclusion must drop the equivalent peer clause and
 // count it as deduped, not import a duplicate.
 func TestExchangeDedupAgainstOwnLemmas(t *testing.T) {
-	ex := exchange.New(exchange.Options{})
+	ex := exchange.New()
 
 	a := NewEngine(contradictionProblem(t), Config{
 		NoGroundLemmas: true,
@@ -130,39 +131,11 @@ func TestExchangeDedupAgainstOwnLemmas(t *testing.T) {
 	}
 }
 
-// TestExchangeImportCap pins MaxSharedLemmas: a peer floods the store, the
-// importer stops at its cap.
-func TestExchangeImportCap(t *testing.T) {
-	ex := exchange.New(exchange.Options{})
-	feeder := ex.NewClient()
-	// 20 syntactically distinct, theory-valid clauses over fresh variables
-	// far above the problem's: harmless to correctness, only bookkeeping.
-	// Use unit clauses over the engine's real variables instead — publish
-	// conflict-shaped pairs over vars 3..22 of a 24-var problem.
-	p := NewProblem()
-	p.AddClause(1)
-	p.NumVars = 24
-	for i := 0; i < 20; i++ {
-		feeder.Publish([]int{-(i + 3), -(i + 4)})
-	}
-	e := NewEngine(p, Config{Exchange: ex.NewClient(), MaxSharedLemmas: 5})
-	res, err := e.Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != StatusSat {
-		t.Fatalf("status %v, want sat", res.Status)
-	}
-	if got := e.Stats().LemmasImported; got != 5 {
-		t.Fatalf("imported %d lemmas, want cap 5", got)
-	}
-}
-
 // TestExchangeRestartModeImports pins that restart mode re-feeds imported
 // clauses through Reset (they live in e.lemmas, not only in AddBlocking
 // state that a restart would discard).
 func TestExchangeRestartModeImports(t *testing.T) {
-	ex := exchange.New(exchange.Options{})
+	ex := exchange.New()
 
 	a := NewEngine(contradictionProblem(t), Config{
 		NoGroundLemmas: true,
@@ -259,25 +232,28 @@ func TestTheoryCacheHitEnvIsPrivate(t *testing.T) {
 	}
 }
 
-// TestTheoryCacheEviction pins the epoch reset: with a cache capped below
-// the number of distinct projections, the engine still answers correctly.
+// TestTheoryCacheEviction pins the epoch reset: with more distinct
+// projections than the cache holds, the engine still answers correctly.
 func TestTheoryCacheEviction(t *testing.T) {
 	p := NewProblem()
-	// Four bound variables, each free: 16 projections, cache cap 4.
-	for v := 1; v <= 4; v++ {
+	// 14 bound variables, each free: 2^14 projections, twice the cache cap.
+	const n = 14
+	for v := 1; v <= n; v++ {
 		p.AddClause(v, -v)
 	}
-	vars := []string{"a", "b", "c", "d"}
-	for v := 0; v < 4; v++ {
-		p.Bind(v, mustAtomT(t, vars[v]+" >= 0"))
+	for v := 0; v < n; v++ {
+		p.Bind(v, mustAtomT(t, fmt.Sprintf("x%d >= 0", v)))
 	}
-	e := NewEngine(p, Config{TheoryCacheSize: 4, NoGroundLemmas: true})
-	n, status, err := e.AllModels(nil, 0, nil)
+	e := NewEngine(p, Config{NoGroundLemmas: true})
+	models, status, err := e.AllModels(nil, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status != StatusUnsat || n != 16 {
-		t.Fatalf("n=%d status=%v, want 16 models then exhausted", n, status)
+	if status != StatusUnsat || models != 1<<n {
+		t.Fatalf("models=%d status=%v, want %d models then exhausted", models, status, 1<<n)
+	}
+	if len(e.tcache) > theoryCacheSize {
+		t.Fatalf("cache holds %d entries after %d projections, over its cap of %d", len(e.tcache), 1<<n, theoryCacheSize)
 	}
 }
 

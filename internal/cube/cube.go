@@ -33,18 +33,16 @@ type Options struct {
 	// come out when the skeleton offers fewer useful decision variables or
 	// when propagation refutes sign combinations.
 	MaxCubes int
-	// MaxCandidates bounds how many variables enter the lookahead scoring
-	// pass (0 = 64). Candidates are pre-ranked by occurrence count, so the
-	// bound trims the tail, not the interesting variables.
-	MaxCandidates int
 }
+
+// maxCandidates bounds how many variables enter the lookahead scoring
+// pass. Candidates are pre-ranked by occurrence count, so the bound trims
+// the tail, not the interesting variables.
+const maxCandidates = 64
 
 func (o Options) withDefaults() Options {
 	if o.MaxCubes <= 0 {
 		o.MaxCubes = 8
-	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 64
 	}
 	return o
 }
@@ -148,8 +146,8 @@ func pickVars(p *core.Problem, base []int8, opt Options) []int {
 		}
 		return pool[i] < pool[j]
 	})
-	if len(pool) > opt.MaxCandidates {
-		pool = pool[:opt.MaxCandidates]
+	if len(pool) > maxCandidates {
+		pool = pool[:maxCandidates]
 	}
 
 	// Two-sided lookahead: score = product of both branches' implication

@@ -29,34 +29,20 @@ import (
 	"sync/atomic"
 )
 
-// Options tunes an Exchange. The zero value selects the defaults.
-type Options struct {
-	// Shards is the number of lock shards (0 = 16). More shards reduce
-	// publisher contention; the count is fixed at construction.
-	Shards int
-	// MaxLemmas caps the total number of stored clauses across all shards
-	// (0 = 1<<14). Publishes beyond the cap are dropped — the store never
-	// evicts, so an imported cursor is always valid.
-	MaxLemmas int
-	// MaxClauseLen drops clauses longer than this many literals (0 = 32).
-	// Long blocking clauses prune almost nothing for peers (they exclude a
-	// single near-total assignment) while costing every importer memory and
-	// propagation work; sharing is for short, general lemmas.
-	MaxClauseLen int
-}
-
-func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = 16
-	}
-	if o.MaxLemmas <= 0 {
-		o.MaxLemmas = 1 << 14
-	}
-	if o.MaxClauseLen <= 0 {
-		o.MaxClauseLen = 32
-	}
-	return o
-}
+const (
+	// numShards is the number of lock shards; more shards reduce publisher
+	// contention.
+	numShards = 16
+	// maxLemmas caps the total number of stored clauses across all shards.
+	// Publishes beyond the cap are dropped — the store never evicts, so an
+	// imported cursor is always valid.
+	maxLemmas = 1 << 14
+	// maxClauseLen drops clauses longer than this many literals. Long
+	// blocking clauses prune almost nothing for peers (they exclude a
+	// single near-total assignment) while costing every importer memory
+	// and propagation work; sharing is for short, general lemmas.
+	maxClauseLen = 32
+)
 
 // Stats is a snapshot of store-level counters.
 type Stats struct {
@@ -83,10 +69,12 @@ type shard struct {
 // Exchange is the shared store. Construct with New; the zero value is not
 // usable.
 type Exchange struct {
-	opt    Options
 	shards []shard
+	// lemmaCap and clauseLenCap are maxLemmas and maxClauseLen, except in
+	// tests that shrink them.
+	lemmaCap, clauseLenCap int
 	// size is the total clause count across shards. Publishers reserve a
-	// slot with a CAS against MaxLemmas before inserting (and release it on
+	// slot with a CAS against lemmaCap before inserting (and release it on
 	// a duplicate), so the count never exceeds the cap even under
 	// concurrent publishes.
 	size atomic.Int64
@@ -99,9 +87,10 @@ type Exchange struct {
 }
 
 // New builds an empty exchange.
-func New(opt Options) *Exchange {
-	opt = opt.withDefaults()
-	ex := &Exchange{opt: opt, shards: make([]shard, opt.Shards)}
+func New() *Exchange { return newExchange(maxLemmas, maxClauseLen) }
+
+func newExchange(lemmaCap, clauseLenCap int) *Exchange {
+	ex := &Exchange{shards: make([]shard, numShards), lemmaCap: lemmaCap, clauseLenCap: clauseLenCap}
 	for i := range ex.shards {
 		ex.shards[i].seen = map[string]int{}
 	}
@@ -163,19 +152,19 @@ func Canon(clause []int) (canon []int, key string) {
 // publish stores the canonical clause under key for owner id. It reports
 // whether the clause was accepted (false: duplicate or capped).
 func (ex *Exchange) publish(id uint64, canon []int, key string) bool {
-	if len(canon) == 0 || len(canon) > ex.opt.MaxClauseLen {
+	if len(canon) == 0 || len(canon) > ex.clauseLenCap {
 		ex.dropped.Add(1)
 		return false
 	}
 	// Reserve a slot against the cap with a CAS loop before touching the
 	// shard: a plain load-then-insert would let concurrent publishers all
-	// pass the check and overshoot MaxLemmas together. With reservation,
-	// size never exceeds the cap — Len() ≤ MaxLemmas is an invariant, not
+	// pass the check and overshoot the cap together. With reservation,
+	// size never exceeds the cap — Len() ≤ lemmaCap is an invariant, not
 	// a steady-state approximation — and a reservation that turns out to be
 	// a duplicate is released below.
 	for {
 		n := ex.size.Load()
-		if int(n) >= ex.opt.MaxLemmas {
+		if int(n) >= ex.lemmaCap {
 			ex.dropped.Add(1)
 			return false
 		}

@@ -46,7 +46,7 @@ func TestCanon(t *testing.T) {
 // TestPublishImportBasics covers dedup, self-skip and incremental cursors
 // on a single-threaded schedule.
 func TestPublishImportBasics(t *testing.T) {
-	ex := New(Options{})
+	ex := New()
 	a, b := ex.NewClient(), ex.NewClient()
 
 	if !a.Publish([]int{2, -1}) {
@@ -81,7 +81,7 @@ func TestPublishImportBasics(t *testing.T) {
 }
 
 func TestCaps(t *testing.T) {
-	ex := New(Options{MaxLemmas: 3, MaxClauseLen: 2})
+	ex := newExchange(3, 2)
 	c := ex.NewClient()
 	if c.Publish([]int{1, 2, 3}) {
 		t.Fatal("over-length clause accepted")
@@ -95,7 +95,7 @@ func TestCaps(t *testing.T) {
 		}
 	}
 	if c.Publish([]int{99}) {
-		t.Fatal("publish accepted beyond MaxLemmas")
+		t.Fatal("publish accepted beyond the size cap")
 	}
 	st := ex.Stats()
 	if st.Published != 3 || st.Dropped != 3 {
@@ -120,7 +120,7 @@ func TestStressRandomSchedules(t *testing.T) {
 		rounds   = 400
 		maxLemma = 1 << 10
 	)
-	ex := New(Options{Shards: 4, MaxLemmas: maxLemma, MaxClauseLen: 8})
+	ex := newExchange(maxLemma, 8)
 
 	type report struct {
 		id        int
@@ -196,7 +196,7 @@ func TestStressRandomSchedules(t *testing.T) {
 // TestConcurrentDedup publishes the same clause set from many goroutines
 // and checks each canonical clause is stored at most once.
 func TestConcurrentDedup(t *testing.T) {
-	ex := New(Options{})
+	ex := New()
 	const clients = 6
 	var wg sync.WaitGroup
 	for id := 0; id < clients; id++ {
@@ -254,17 +254,17 @@ func TestShardDistribution(t *testing.T) {
 
 // TestMaxLemmasNeverOvershot is the regression pin for the lock-free cap
 // check: concurrent publishers of distinct clauses race against a tiny
-// MaxLemmas while observers sample Len. With the old load-then-insert
+// size cap while observers sample Len. With the old load-then-insert
 // scheme several publishers could pass the cap check together and push the
-// store past MaxLemmas; the reservation scheme must keep Len ≤ MaxLemmas
-// at every instant, and exactly at MaxLemmas once the dust settles.
+// store past the cap; the reservation scheme must keep Len ≤ cap at every
+// instant, and exactly at the cap once the dust settles.
 func TestMaxLemmasNeverOvershot(t *testing.T) {
 	const (
 		cap        = 32
 		publishers = 8
 		perPub     = 200
 	)
-	ex := New(Options{MaxLemmas: cap, Shards: 4})
+	ex := newExchange(cap, maxClauseLen)
 
 	stop := make(chan struct{})
 	var overshoot sync.Once
@@ -300,7 +300,7 @@ func TestMaxLemmasNeverOvershot(t *testing.T) {
 	close(stop)
 
 	if overshot > 0 {
-		t.Fatalf("observed Len = %d > MaxLemmas = %d mid-run", overshot, cap)
+		t.Fatalf("observed Len = %d > cap %d mid-run", overshot, cap)
 	}
 	if got := ex.Len(); got != cap {
 		t.Fatalf("final Len = %d, want exactly %d", got, cap)
@@ -317,7 +317,7 @@ func TestMaxLemmasNeverOvershot(t *testing.T) {
 // TestCapReleaseOnDuplicate: a reservation released on a duplicate must
 // not eat into the cap — distinct clauses published afterwards still fit.
 func TestCapReleaseOnDuplicate(t *testing.T) {
-	ex := New(Options{MaxLemmas: 2})
+	ex := newExchange(2, maxClauseLen)
 	c := ex.NewClient()
 	if !c.Publish([]int{1, 2}) {
 		t.Fatal("first publish rejected")

@@ -59,9 +59,11 @@ type Relay struct {
 	relayed   int64
 }
 
-// NewRelay builds a relay over a fresh store with the given options.
-func NewRelay(opt Options) *Relay {
-	return &Relay{ex: New(opt), nodes: map[string]*Client{}}
+// NewRelay builds a relay over a fresh store.
+func NewRelay() *Relay { return newRelay(New()) }
+
+func newRelay(ex *Exchange) *Relay {
+	return &Relay{ex: ex, nodes: map[string]*Client{}}
 }
 
 // Exchange returns the underlying store (counters, Len).
@@ -132,44 +134,22 @@ func (r *Relay) ServeHTTP(w http.ResponseWriter, req *http.Request) {
 	}
 }
 
-// NetOptions tunes a NetClient. The zero value selects the defaults.
-type NetOptions struct {
-	// HTTP is the transport (default: a client with a 2s total timeout —
-	// the relay must never wedge an engine iteration).
-	HTTP *http.Client
-	// PollInterval is the minimum gap between import polls; the engine
+const (
+	// netTimeout bounds every relay request: the relay must never wedge an
+	// engine iteration.
+	netTimeout = 2 * time.Second
+	// pollInterval is the minimum gap between import polls; the engine
 	// calls Import every lazy-loop iteration, which can be far more often
-	// than new lemmas appear (0 = 25ms; negative = poll on every call).
-	PollInterval time.Duration
-	// PublishBatch flushes the publish buffer when it reaches this many
-	// clauses (0 = 4). Import also flushes whatever is pending first, so
-	// lemmas never sit in the buffer across a poll.
-	PublishBatch int
-	// FailBackoff silences the exchange after a transport failure for this
-	// long (0 = 1s): a dead relay costs one timeout, not one per call.
-	FailBackoff time.Duration
-	// now overrides the clock in tests.
-	now func() time.Time
-}
-
-func (o NetOptions) withDefaults() NetOptions {
-	if o.HTTP == nil {
-		o.HTTP = &http.Client{Timeout: 2 * time.Second}
-	}
-	if o.PollInterval == 0 {
-		o.PollInterval = 25 * time.Millisecond
-	}
-	if o.PublishBatch <= 0 {
-		o.PublishBatch = 4
-	}
-	if o.FailBackoff <= 0 {
-		o.FailBackoff = time.Second
-	}
-	if o.now == nil {
-		o.now = time.Now
-	}
-	return o
-}
+	// than new lemmas appear.
+	pollInterval = 25 * time.Millisecond
+	// publishBatch flushes the publish buffer when it reaches this many
+	// clauses. Import also flushes whatever is pending first, so lemmas
+	// never sit in the buffer across a poll.
+	publishBatch = 4
+	// failBackoff silences the exchange after a transport failure: a dead
+	// relay costs one timeout, not one per call.
+	failBackoff = time.Second
+)
 
 // NetClient is one remote engine's handle on a Relay. It implements
 // core.LemmaExchange and, like the in-process Client, must not be used
@@ -177,7 +157,14 @@ func (o NetOptions) withDefaults() NetOptions {
 type NetClient struct {
 	url  string
 	node string
-	opt  NetOptions
+	http *http.Client
+	// poll, batch and backoff are pollInterval, publishBatch and
+	// failBackoff (a poll ≤ 0 polls on every call), and now is the clock;
+	// tests override them.
+	poll    time.Duration
+	batch   int
+	backoff time.Duration
+	now     func() time.Time
 
 	buf       [][]int
 	lastPoll  time.Time
@@ -188,8 +175,13 @@ type NetClient struct {
 // NewNetClient attaches to the relay at url as the given node. Node names
 // identify import cursors and publish ownership server-side: every engine
 // needs its own, and reusing a name resumes its cursor.
-func NewNetClient(url, node string, opt NetOptions) *NetClient {
-	return &NetClient{url: url, node: node, opt: opt.withDefaults()}
+func NewNetClient(url, node string) *NetClient {
+	return &NetClient{
+		url: url, node: node,
+		http: &http.Client{Timeout: netTimeout},
+		poll: pollInterval, batch: publishBatch, backoff: failBackoff,
+		now: time.Now,
+	}
 }
 
 // Publish buffers the clause for the next flush and reports acceptance
@@ -201,27 +193,27 @@ func (c *NetClient) Publish(clause []int) bool {
 		return false
 	}
 	c.buf = append(c.buf, append([]int(nil), clause...))
-	if len(c.buf) >= c.opt.PublishBatch {
+	if len(c.buf) >= c.batch {
 		c.Flush()
 	}
 	return true
 }
 
 // Import flushes pending publishes, then polls the relay for peers'
-// clauses — at most once per PollInterval; throttled calls return nil.
+// clauses — at most once per poll interval; throttled calls return nil.
 func (c *NetClient) Import() [][]int {
 	c.Flush()
 	if c.down() {
 		return nil
 	}
-	now := c.opt.now()
-	if c.polled && c.opt.PollInterval > 0 && now.Sub(c.lastPoll) < c.opt.PollInterval {
+	now := c.now()
+	if c.polled && c.poll > 0 && now.Sub(c.lastPoll) < c.poll {
 		return nil
 	}
 	c.lastPoll = now
 	c.polled = true
 
-	resp, err := c.opt.HTTP.Get(c.url + "?node=" + c.node)
+	resp, err := c.http.Get(c.url + "?node=" + c.node)
 	if err != nil {
 		c.fail()
 		return nil
@@ -254,7 +246,7 @@ func (c *NetClient) Flush() {
 	if err != nil {
 		return
 	}
-	resp, err := c.opt.HTTP.Post(c.url, "application/json", bytes.NewReader(payload))
+	resp, err := c.http.Post(c.url, "application/json", bytes.NewReader(payload))
 	if err != nil {
 		c.fail()
 		return
@@ -267,9 +259,9 @@ func (c *NetClient) Flush() {
 }
 
 func (c *NetClient) down() bool {
-	return !c.failUntil.IsZero() && c.opt.now().Before(c.failUntil)
+	return !c.failUntil.IsZero() && c.now().Before(c.failUntil)
 }
 
 func (c *NetClient) fail() {
-	c.failUntil = c.opt.now().Add(c.opt.FailBackoff)
+	c.failUntil = c.now().Add(c.backoff)
 }

@@ -14,13 +14,19 @@ import (
 // with throttling disabled (every Import polls).
 func netPair(t *testing.T) (*Relay, *httptest.Server, func(node string) *NetClient) {
 	t.Helper()
-	relay := NewRelay(Options{})
+	relay := NewRelay()
 	srv := httptest.NewServer(relay)
 	t.Cleanup(srv.Close)
-	mk := func(node string) *NetClient {
-		return NewNetClient(srv.URL, node, NetOptions{PollInterval: -1, PublishBatch: 1})
-	}
+	mk := func(node string) *NetClient { return eagerClient(srv.URL, node) }
 	return relay, srv, mk
+}
+
+// eagerClient returns a NetClient that polls on every Import and flushes
+// every Publish.
+func eagerClient(url, node string) *NetClient {
+	c := NewNetClient(url, node)
+	c.poll, c.batch = 0, 1
+	return c
 }
 
 // TestNetRoundTrip: a clause published by one node reaches the other, and
@@ -51,16 +57,16 @@ func TestNetRoundTrip(t *testing.T) {
 // TestNetDedupAndCaps: the relay reuses the store's canonicalisation and
 // caps unchanged.
 func TestNetDedupAndCaps(t *testing.T) {
-	relay := NewRelay(Options{MaxLemmas: 2, MaxClauseLen: 2})
+	relay := newRelay(newExchange(2, 2))
 	srv := httptest.NewServer(relay)
 	defer srv.Close()
-	a := NewNetClient(srv.URL, "a", NetOptions{PollInterval: -1, PublishBatch: 1})
+	a := eagerClient(srv.URL, "a")
 
 	a.Publish([]int{1, 2})
 	a.Publish([]int{2, 1})    // duplicate
-	a.Publish([]int{1, 2, 3}) // over MaxClauseLen
+	a.Publish([]int{1, 2, 3}) // over the length cap
 	a.Publish([]int{3, 4})
-	a.Publish([]int{5, 6}) // over MaxLemmas
+	a.Publish([]int{5, 6}) // over the size cap
 	if got := relay.Exchange().Len(); got != 2 {
 		t.Fatalf("store Len = %d, want 2", got)
 	}
@@ -70,13 +76,14 @@ func TestNetDedupAndCaps(t *testing.T) {
 	}
 }
 
-// TestNetPublishBatching: with PublishBatch = 3, two publishes stay
+// TestNetPublishBatching: with a publish batch of 3, two publishes stay
 // buffered until the third (or a Flush / Import) pushes them out.
 func TestNetPublishBatching(t *testing.T) {
 	relay, _, _ := netPair(t)
 	srv := httptest.NewServer(relay)
 	defer srv.Close()
-	a := NewNetClient(srv.URL, "a", NetOptions{PollInterval: -1, PublishBatch: 3})
+	a := eagerClient(srv.URL, "a")
+	a.batch = 3
 
 	a.Publish([]int{1, 2})
 	a.Publish([]int{3, 4})
@@ -94,17 +101,16 @@ func TestNetPublishBatching(t *testing.T) {
 	}
 }
 
-// TestNetPollThrottle: Import respects PollInterval using an injected
+// TestNetPollThrottle: Import respects the poll interval using an injected
 // clock — the second call inside the window returns nil without touching
 // the relay.
 func TestNetPollThrottle(t *testing.T) {
 	relay, srv, _ := netPair(t)
 	now := time.Unix(1000, 0)
-	c := NewNetClient(srv.URL, "poller", NetOptions{
-		PollInterval: 50 * time.Millisecond,
-		now:          func() time.Time { return now },
-	})
-	other := NewNetClient(srv.URL, "other", NetOptions{PollInterval: -1, PublishBatch: 1})
+	c := NewNetClient(srv.URL, "poller")
+	c.poll = 50 * time.Millisecond
+	c.now = func() time.Time { return now }
+	other := eagerClient(srv.URL, "other")
 
 	other.Publish([]int{1, 2})
 	if got := c.Import(); len(got) != 1 {
@@ -122,16 +128,15 @@ func TestNetPollThrottle(t *testing.T) {
 }
 
 // TestNetTransportFailure: a dead relay must not wedge or panic the
-// client; after FailBackoff the client recovers.
+// client; after the backoff the client recovers.
 func TestNetTransportFailure(t *testing.T) {
-	relay := NewRelay(Options{})
+	relay := NewRelay()
 	srv := httptest.NewServer(relay)
 	now := time.Unix(2000, 0)
-	c := NewNetClient(srv.URL, "a", NetOptions{
-		PollInterval: -1, PublishBatch: 1, FailBackoff: 100 * time.Millisecond,
-		now: func() time.Time { return now },
-	})
-	b := NewNetClient(srv.URL, "b", NetOptions{PollInterval: -1, PublishBatch: 1})
+	c := eagerClient(srv.URL, "a")
+	c.backoff = 100 * time.Millisecond
+	c.now = func() time.Time { return now }
+	b := eagerClient(srv.URL, "b")
 
 	srv.Close() // relay gone
 	c.Publish([]int{1, 2})
@@ -145,7 +150,7 @@ func TestNetTransportFailure(t *testing.T) {
 	// The relay itself still works for others via a new server.
 	srv2 := httptest.NewServer(relay)
 	defer srv2.Close()
-	c2 := NewNetClient(srv2.URL, "a2", NetOptions{PollInterval: -1, PublishBatch: 1})
+	c2 := eagerClient(srv2.URL, "a2")
 	c2.Publish([]int{5, 6})
 	if got := b2len(relay); got != 1 {
 		t.Fatalf("store Len = %d, want 1", got)

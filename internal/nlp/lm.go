@@ -15,7 +15,7 @@ import (
 // It overwrites x with a point at least as good under the merit function;
 // box holds each slot's clamp interval. The Jacobian's columns are the
 // penalty's LM columns. evals counts merit evaluations.
-func polish(ctx context.Context, p *penalty, x []float64, box []interval.Interval, opt Options) (evals int) {
+func polish(ctx context.Context, p *penalty, x []float64, box []interval.Interval) (evals int) {
 	f, ok := p.eval(x, p.gx)
 	evals++
 	if !ok {
@@ -35,7 +35,7 @@ func polish(ctx context.Context, p *penalty, x []float64, box []interval.Interva
 	bd := make([]float64, n)
 	var res []float64
 	for iter := 0; iter < 60; iter++ {
-		if f <= opt.Tol*opt.Tol {
+		if f <= Tol*Tol {
 			return evals
 		}
 		if ctx.Err() != nil {

@@ -88,9 +88,9 @@ func TestPolishConvergesOnTightEquality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pen := newPenalty([]expr.Atom{a}, []string{"x"}, Options{}.withDefaults())
+	pen := newPenalty([]expr.Atom{a}, []string{"x"})
 	x := []float64{1.3}
-	polish(context.Background(), pen, x, []interval.Interval{interval.New(0, 10)}, Options{}.withDefaults())
+	polish(context.Background(), pen, x, []interval.Interval{interval.New(0, 10)})
 	if math.Abs(x[0]-math.Sqrt2) > 1e-7 {
 		t.Fatalf("x = %v, want √2", x[0])
 	}
@@ -101,9 +101,9 @@ func TestPolishRespectsBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pen := newPenalty([]expr.Atom{a}, []string{"x"}, Options{}.withDefaults())
+	pen := newPenalty([]expr.Atom{a}, []string{"x"})
 	x := []float64{2}
-	polish(context.Background(), pen, x, []interval.Interval{interval.New(0, 5)}, Options{}.withDefaults())
+	polish(context.Background(), pen, x, []interval.Interval{interval.New(0, 5)})
 	if x[0] < 0 || x[0] > 5 {
 		t.Fatalf("x = %v escaped the box", x[0])
 	}

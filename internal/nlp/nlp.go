@@ -56,7 +56,7 @@ func (s Status) String() string {
 type Problem struct {
 	Atoms []expr.Atom
 	// Box gives per-variable domains; variables missing from the box are
-	// unbounded (but sampling clamps them to ±Options.DefaultRange).
+	// unbounded (but sampling clamps them to ±DefaultRange).
 	Box expr.Box
 }
 
@@ -85,25 +85,29 @@ type Options struct {
 	Starts int
 	// MaxIters bounds gradient iterations per start (default 300).
 	MaxIters int
-	// PropagationRounds bounds HC4 sweeps (default 60).
-	PropagationRounds int
-	// StrictMargin is the slack required of strict inequalities and
-	// disequalities (default 1e-6, matching lp.Epsilon).
-	StrictMargin float64
-	// InteriorMargin biases the search towards points strictly inside weak
-	// inequalities (default 1e-4): the descent treats x ≤ b as x ≤ b−m, so
-	// witnesses are robust to exact re-evaluation (e.g. by simulation),
-	// while acceptance still uses the true semantics — boundary witnesses
-	// are returned when nothing better exists.
-	InteriorMargin float64
-	// Tol is the witness acceptance tolerance on non-strict constraints
-	// (default 1e-8).
-	Tol float64
-	// DefaultRange clamps unbounded variables for sampling (default 100).
-	DefaultRange float64
 	// Seed makes runs deterministic (default 1).
 	Seed int64
 }
+
+// The solver's fixed tolerances and budgets. They are typed so that
+// products such as Tol*Tol round exactly as they do at run time.
+const (
+	// propagationRounds bounds HC4 sweeps.
+	propagationRounds = 60
+	// StrictMargin is the slack required of strict inequalities and
+	// disequalities, matching lp.Epsilon.
+	StrictMargin float64 = 1e-6
+	// interiorMargin biases the search towards points strictly inside weak
+	// inequalities: the descent treats x ≤ b as x ≤ b−m, so witnesses are
+	// robust to exact re-evaluation (e.g. by simulation), while acceptance
+	// still uses the true semantics — boundary witnesses are returned when
+	// nothing better exists.
+	interiorMargin float64 = 1e-4
+	// Tol is the witness acceptance tolerance on non-strict constraints.
+	Tol float64 = 1e-8
+	// DefaultRange clamps unbounded variables for sampling.
+	DefaultRange float64 = 100
+)
 
 func (o Options) withDefaults() Options {
 	if o.Starts == 0 {
@@ -111,21 +115,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxIters == 0 {
 		o.MaxIters = 300
-	}
-	if o.PropagationRounds == 0 {
-		o.PropagationRounds = 60
-	}
-	if o.StrictMargin == 0 {
-		o.StrictMargin = 1e-6
-	}
-	if o.InteriorMargin == 0 {
-		o.InteriorMargin = 1e-4
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-8
-	}
-	if o.DefaultRange == 0 {
-		o.DefaultRange = 100
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -161,7 +150,7 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) Result {
 
 	// Phase 1: interval propagation for refutation and search-space
 	// contraction.
-	empty, canceled := contract(ctx, p.Atoms, box, opt.PropagationRounds)
+	empty, canceled := contract(ctx, p.Atoms, box, propagationRounds)
 	if empty {
 		return Result{Status: Infeasible, ContractedBox: box}
 	}
@@ -171,7 +160,7 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) Result {
 
 	// Phase 2: multi-start penalty descent over slot-indexed points; the
 	// slot table is vars, and clamp holds each slot's interval.
-	pen := newPenalty(p.Atoms, vars, opt)
+	pen := newPenalty(p.Atoms, vars)
 	clamp := make([]interval.Interval, len(vars))
 	for i, v := range vars {
 		if clamp[i] = box[v]; clamp[i].IsEmpty() {
@@ -185,7 +174,7 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) Result {
 		for i, v := range vars {
 			env[v] = x[i]
 		}
-		return verify(p.Atoms, env, opt)
+		return verify(p.Atoms, env)
 	}
 	evals := 0
 
@@ -193,7 +182,7 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) Result {
 		if ctx.Err() != nil {
 			return Result{Status: Unknown, ContractedBox: box, Evals: evals}
 		}
-		samplePoint(x, vars, box, rng, opt.DefaultRange, start)
+		samplePoint(x, vars, box, rng, start)
 		ok, e := descend(ctx, pen, x, clamp, opt)
 		evals += e
 		if !ok {
@@ -204,7 +193,7 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) Result {
 		}
 		// Gradient descent gets close; Levenberg-Marquardt finishes the job
 		// on tight (near-)equalities.
-		evals += polish(ctx, pen, x, clamp, opt)
+		evals += polish(ctx, pen, x, clamp)
 		if witness() {
 			return Result{Status: Feasible, X: maps.Clone(env), ContractedBox: box, Evals: evals}
 		}
@@ -218,7 +207,7 @@ func SolveContext(ctx context.Context, p *Problem, opt Options) Result {
 // Cancellation reports false.
 func Refutes(ctx context.Context, atoms []expr.Atom, box expr.Box) bool {
 	p := &Problem{Atoms: atoms, Box: box}
-	empty, _ := contract(ctx, atoms, searchBox(box, p.Vars()), Options{}.withDefaults().PropagationRounds)
+	empty, _ := contract(ctx, atoms, searchBox(box, p.Vars()), propagationRounds)
 	return empty
 }
 
@@ -236,16 +225,16 @@ func searchBox(box expr.Box, vars []string) expr.Box {
 
 // samplePoint draws a start point into x, slot i being vars[i]. The first
 // start uses box midpoints (a good deterministic guess); later starts are
-// uniform in the clamped box.
-func samplePoint(x []float64, vars []string, box expr.Box, rng *rand.Rand, rangeClamp float64, start int) {
+// uniform in the box clamped to ±DefaultRange.
+func samplePoint(x []float64, vars []string, box expr.Box, rng *rand.Rand, start int) {
 	for i, v := range vars {
 		iv := box[v]
 		lo, hi := iv.Lo, iv.Hi
 		if math.IsInf(lo, -1) {
-			lo = -rangeClamp
+			lo = -DefaultRange
 		}
 		if math.IsInf(hi, 1) {
-			hi = rangeClamp
+			hi = DefaultRange
 		}
 		if lo > hi {
 			lo, hi = hi, lo
@@ -260,23 +249,23 @@ func samplePoint(x []float64, vars []string, box expr.Box, rng *rand.Rand, range
 
 // verify checks a candidate witness against every atom: non-strict atoms
 // within Tol, strict atoms and disequalities with a real margin.
-func verify(atoms []expr.Atom, x expr.Env, opt Options) bool {
+func verify(atoms []expr.Atom, x expr.Env) bool {
 	for _, a := range atoms {
 		switch a.Op {
 		case expr.CmpLT, expr.CmpGT:
 			// Negative tolerance demands a real margin below/above the bound.
-			ok, err := a.HoldsTol(x, -opt.StrictMargin/2)
+			ok, err := a.HoldsTol(x, -StrictMargin/2)
 			if err != nil || !ok {
 				return false
 			}
 		case expr.CmpNE:
 			// Positive tolerance on ≠ demands |l−r| beyond the margin.
-			ok, err := a.HoldsTol(x, opt.StrictMargin/2)
+			ok, err := a.HoldsTol(x, StrictMargin/2)
 			if err != nil || !ok {
 				return false
 			}
 		default:
-			ok, err := a.HoldsTol(x, opt.Tol)
+			ok, err := a.HoldsTol(x, Tol)
 			if err != nil || !ok {
 				return false
 			}

@@ -34,16 +34,14 @@ type penaltyTerm struct {
 	op expr.CmpOp
 	// slots and cols give each variable of g, in name order, as a slot and
 	// as an LM column; grads holds ∂g/∂v in the same order.
-	slots    []int
-	cols     []int
-	grads    []expr.Tape
-	margin   float64
-	interior float64
+	slots []int
+	cols  []int
+	grads []expr.Tape
 }
 
 // newPenalty compiles the atoms over the slot table vars, which must
 // contain every variable of the atoms.
-func newPenalty(atoms []expr.Atom, vars []string, opt Options) *penalty {
+func newPenalty(atoms []expr.Atom, vars []string) *penalty {
 	slot := make(map[string]int, len(vars))
 	for i, v := range vars {
 		slot[v] = i
@@ -53,10 +51,7 @@ func newPenalty(atoms []expr.Atom, vars []string, opt Options) *penalty {
 	depth := 0
 	for _, a := range atoms {
 		g := expr.Simplify(a.Diff())
-		t := penaltyTerm{
-			g: expr.Compile(g, slot), op: a.Op,
-			margin: opt.StrictMargin, interior: opt.InteriorMargin,
-		}
+		t := penaltyTerm{g: expr.Compile(g, slot), op: a.Op}
 		depth = max(depth, t.g.Depth())
 		for _, v := range expr.Vars(g) {
 			c, ok := col[v]
@@ -86,25 +81,25 @@ func newPenalty(atoms []expr.Atom, vars []string, opt Options) *penalty {
 func (t *penaltyTerm) violation(g float64) (v, dvdg float64) {
 	switch t.op {
 	case expr.CmpLE:
-		if s := g + t.interior; s > 0 {
+		if s := g + interiorMargin; s > 0 {
 			return s, 1
 		}
 	case expr.CmpLT:
-		if s := g + t.margin + t.interior; s > 0 {
+		if s := g + StrictMargin + interiorMargin; s > 0 {
 			return s, 1
 		}
 	case expr.CmpGE:
-		if s := t.interior - g; s > 0 {
+		if s := interiorMargin - g; s > 0 {
 			return s, -1
 		}
 	case expr.CmpGT:
-		if s := t.margin + t.interior - g; s > 0 {
+		if s := StrictMargin + interiorMargin - g; s > 0 {
 			return s, -1
 		}
 	case expr.CmpEQ:
 		return g, 1 // squared afterwards; sign irrelevant
 	case expr.CmpNE:
-		if s := t.margin - math.Abs(g); s > 0 {
+		if s := StrictMargin - math.Abs(g); s > 0 {
 			if g >= 0 {
 				return s, -1
 			}
@@ -178,7 +173,7 @@ func descend(ctx context.Context, p *penalty, x []float64, box []interval.Interv
 	}
 	g, trial := p.dir, p.trial
 	for iter := 0; iter < opt.MaxIters; iter++ {
-		if f <= opt.Tol*opt.Tol {
+		if f <= Tol*Tol {
 			return true, evals
 		}
 		if ctx.Err() != nil {

@@ -19,62 +19,32 @@ type Options struct {
 	// MaxRegions caps how many regions are processed before the solver
 	// gives up with Unknown. Default 512.
 	MaxRegions int
-	// Workers is the size of the goroutine pool that drains each frontier
-	// wave. Default min(GOMAXPROCS, 8).
-	Workers int
-	// PropagationRounds bounds the initial HC4 contraction sweeps.
-	// Default 40.
-	PropagationRounds int
-	// DefaultRange substitutes for infinite box sides so regions stay
-	// bisectable; searching a clamped box forfeits the Infeasible verdict
-	// (a clamped refutation only covers the clamped part). Default 100,
-	// matching nlp.Options.DefaultRange.
-	DefaultRange float64
-	// MinWidth is the relative width below which a variable is no longer
-	// bisected. Default 1e-5.
-	MinWidth float64
-	// LPMaxIter bounds simplex pivots per region LP. Default 2000.
-	LPMaxIter int
-	// StrictMargin and Tol mirror nlp.Options: witnesses must clear
-	// strict atoms and disequalities by StrictMargin/2 and weak atoms
-	// within Tol. Defaults 1e-6 and 1e-8.
-	StrictMargin float64
-	Tol          float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.MaxRegions == 0 {
 		o.MaxRegions = 512
 	}
-	if o.Workers == 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-		if o.Workers > 8 {
-			o.Workers = 8
-		}
-	}
-	if o.Workers < 1 {
-		o.Workers = 1
-	}
-	if o.PropagationRounds == 0 {
-		o.PropagationRounds = 40
-	}
-	if o.DefaultRange == 0 {
-		o.DefaultRange = 100
-	}
-	if o.MinWidth == 0 {
-		o.MinWidth = 1e-5
-	}
-	if o.LPMaxIter == 0 {
-		o.LPMaxIter = 2000
-	}
-	if o.StrictMargin == 0 {
-		o.StrictMargin = 1e-6
-	}
-	if o.Tol == 0 {
-		o.Tol = 1e-8
-	}
 	return o
 }
+
+// Fixed budgets of one Solve call. Infinite box sides are clamped to
+// ±nlp.DefaultRange so regions stay bisectable; searching a clamped box
+// forfeits the Infeasible verdict (a clamped refutation only covers the
+// clamped part). Witnesses must clear strict atoms and disequalities by
+// nlp.StrictMargin/2 and weak atoms within nlp.Tol, as nlp's do.
+const (
+	// propagationRounds bounds the initial HC4 contraction sweeps.
+	propagationRounds = 40
+	// minWidth is the relative width below which a variable is no longer
+	// bisected.
+	minWidth = 1e-5
+	// lpMaxIter bounds simplex pivots per region LP.
+	lpMaxIter = 2000
+	// maxWorkers caps the goroutine pool that drains each frontier wave;
+	// the pool is min(GOMAXPROCS, maxWorkers).
+	maxWorkers = 8
+)
 
 // Stats counts per-call refinement work.
 type Stats struct {
@@ -106,7 +76,7 @@ type Result struct {
 // verdict.
 func Solve(ctx context.Context, atoms []expr.Atom, box expr.Box, ints map[string]bool, opt Options) Result {
 	opt = opt.withDefaults()
-	s := &solver{atoms: atoms, ints: ints, opt: opt}
+	s := &solver{atoms: atoms, ints: ints, opt: opt, workers: min(runtime.GOMAXPROCS(0), maxWorkers)}
 
 	if len(atoms) == 0 {
 		return Result{Status: nlp.Feasible, X: expr.Env{}}
@@ -137,7 +107,7 @@ func Solve(ctx context.Context, atoms []expr.Atom, box expr.Box, ints map[string
 
 	// HC4-contract the true (unclamped) box first: an emptied interval
 	// here refutes the conjunction over the original bounds.
-	emptied, canceled := nlp.Contract(ctx, atoms, root, opt.PropagationRounds)
+	emptied, canceled := nlp.Contract(ctx, atoms, root, propagationRounds)
 	if canceled {
 		return Result{Status: nlp.Unknown, Stats: s.stats()}
 	}
@@ -158,7 +128,7 @@ func Solve(ctx context.Context, atoms []expr.Atom, box expr.Box, ints map[string
 	exhaustive := true
 	for _, v := range s.vars {
 		iv := root[v]
-		r := opt.DefaultRange
+		r := nlp.DefaultRange
 		if math.IsInf(iv.Lo, -1) {
 			iv.Lo = math.Min(-r, iv.Hi-r)
 			exhaustive = false
@@ -180,6 +150,8 @@ type solver struct {
 	ints  map[string]bool
 	vars  []string
 	opt   Options
+	// workers is the size of the goroutine pool that drains each wave.
+	workers int
 
 	regions atomic.Int64
 	pruned  atomic.Int64
@@ -203,7 +175,7 @@ type outcome struct {
 }
 
 // refine runs breadth-first waves over the region frontier. Within a wave
-// the pool of Workers goroutines steals region indexes from a shared
+// the pool of s.workers goroutines steals region indexes from a shared
 // atomic cursor; the wave always completes and its results are read in
 // frontier order, which keeps verdicts, witnesses and stats deterministic
 // for a fixed option set regardless of goroutine scheduling.
@@ -221,10 +193,7 @@ func (s *solver) refine(ctx context.Context, root expr.Box) Result {
 
 		results := make([]outcome, len(wave))
 		var cursor atomic.Int64
-		workers := s.opt.Workers
-		if workers > len(wave) {
-			workers = len(wave)
-		}
+		workers := min(s.workers, len(wave))
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -302,7 +271,7 @@ func (s *solver) process(ctx context.Context, box expr.Box) outcome {
 
 	// LP discharge of the region's convex relaxation.
 	rx := buildRelaxation(s.atoms, box, s.ints)
-	rx.prob.MaxIter = s.opt.LPMaxIter
+	rx.prob.MaxIter = lpMaxIter
 	res := rx.prob.SolveContext(ctx)
 	switch res.Status {
 	case lp.Infeasible:
@@ -396,7 +365,7 @@ func (s *solver) projected(x map[string]float64, box expr.Box) expr.Env {
 
 // verify accepts env as a witness iff every original atom holds with the
 // same margins nlp's verifier demands (strict atoms and disequalities
-// clear the bound by StrictMargin/2, weak atoms within Tol), so the
+// clear the bound by nlp.StrictMargin/2, weak atoms within nlp.Tol), so the
 // engine's own model certification accepts it too.
 func (s *solver) verify(env expr.Env) expr.Env {
 	for _, a := range s.atoms {
@@ -404,11 +373,11 @@ func (s *solver) verify(env expr.Env) expr.Env {
 		var err error
 		switch a.Op {
 		case expr.CmpLT, expr.CmpGT:
-			ok, err = a.HoldsTol(env, -s.opt.StrictMargin/2)
+			ok, err = a.HoldsTol(env, -nlp.StrictMargin/2)
 		case expr.CmpNE:
-			ok, err = a.HoldsTol(env, s.opt.StrictMargin/2)
+			ok, err = a.HoldsTol(env, nlp.StrictMargin/2)
 		default:
-			ok, err = a.HoldsTol(env, s.opt.Tol)
+			ok, err = a.HoldsTol(env, nlp.Tol)
 		}
 		if err != nil || !ok {
 			return nil
@@ -419,7 +388,7 @@ func (s *solver) verify(env expr.Env) expr.Env {
 
 // bisectVar picks the widest-relative-width variable still worth
 // splitting: integers need at least two integral points, reals a relative
-// width above MinWidth.
+// width above minWidth.
 func (s *solver) bisectVar(box expr.Box) (string, bool) {
 	best, bestW := "", 0.0
 	for _, v := range s.vars {
@@ -437,7 +406,7 @@ func (s *solver) bisectVar(box expr.Box) (string, bool) {
 			// ahead of equally-wide reals so integral structure resolves
 			// first (the Borralleras-style integral branching).
 			rel = math.Max(rel, 1)
-		} else if rel <= s.opt.MinWidth {
+		} else if rel <= minWidth {
 			continue
 		}
 		if rel > bestW {

@@ -3,6 +3,7 @@ package polyar
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"absolver/internal/expr"
@@ -159,12 +160,13 @@ func TestSolveCancellation(t *testing.T) {
 }
 
 func TestSolveUnboundedVarDegradesUnsatToUnknown(t *testing.T) {
-	// x² ≥ 1e6 with x unbounded IS satisfiable far out; over the clamped
-	// search box the solver must not claim Infeasible.
+	// x² ≥ 1e6 with x unbounded IS satisfiable far out (|x| ≥ 1000); over
+	// the search box clamped to ±nlp.DefaultRange (100) the solver must
+	// not claim Infeasible.
 	atoms := []expr.Atom{
 		{LHS: expr.Mul(expr.V("x"), expr.V("x")), Op: expr.CmpGE, RHS: expr.C(1e6)},
 	}
-	res := Solve(context.Background(), atoms, expr.Box{}, nil, Options{DefaultRange: 10})
+	res := Solve(context.Background(), atoms, expr.Box{}, nil, Options{})
 	if res.Status == nlp.Infeasible {
 		t.Fatalf("clamped Solve claimed Infeasible; clamping forfeits refutation")
 	}
@@ -176,9 +178,11 @@ func TestSolveDeterministic(t *testing.T) {
 		{LHS: expr.Mul(expr.V("x"), expr.V("y")), Op: expr.CmpGE, RHS: expr.C(1)},
 	}
 	box := box2(-2, 2, -2, 2)
-	first := Solve(context.Background(), atoms, box, nil, Options{Workers: 8})
+	// Eight workers race over each wave whatever the machine's CPU count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(maxWorkers))
+	first := Solve(context.Background(), atoms, box, nil, Options{})
 	for i := 0; i < 5; i++ {
-		again := Solve(context.Background(), atoms, box, nil, Options{Workers: 8})
+		again := Solve(context.Background(), atoms, box, nil, Options{})
 		if again.Status != first.Status || again.Stats != first.Stats {
 			t.Fatalf("run %d diverged: %v/%+v vs %v/%+v", i, again.Status, again.Stats, first.Status, first.Stats)
 		}

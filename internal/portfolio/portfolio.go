@@ -60,7 +60,8 @@ type EngineResult struct {
 	// counters and wall time).
 	Result core.Result
 	// Err is the engine's error; losing engines cancelled by the portfolio
-	// report context.Canceled here.
+	// report context.Canceled here, and an engine that panicked reports
+	// the panic.
 	Err error
 	// Wall is the engine's wall-clock time inside the race.
 	Wall time.Duration
@@ -142,9 +143,6 @@ type Options struct {
 	// it to measure the sharing win, or when run-to-run variation from
 	// sharing is unwanted in a multi-strategy race.
 	NoShare bool
-	// Exchange tunes the shared store (zero value = defaults). Ignored
-	// when NoShare is set or when a strategy brings its own Config.Exchange.
-	Exchange exchange.Options
 }
 
 // Solve races one engine per strategy over clones of p and returns the
@@ -171,7 +169,7 @@ func SolveWith(ctx context.Context, p *core.Problem, strategies []Strategy, opts
 
 	var ex *exchange.Exchange
 	if !opts.NoShare {
-		ex = exchange.New(opts.Exchange)
+		ex = exchange.New()
 	}
 
 	type finish struct {
@@ -188,9 +186,17 @@ func SolveWith(ctx context.Context, p *core.Problem, strategies []Strategy, opts
 		}
 		eng := core.NewEngine(p.Clone(), cfg)
 		go func(i int) {
-			start := time.Now()
-			res, err := eng.SolveContext(runCtx)
-			done <- finish{idx: i, res: res, err: err, wall: time.Since(start)}
+			f, start := finish{idx: i}, time.Now()
+			// A panicking member loses the race instead of taking the
+			// process down with it.
+			defer func() {
+				if r := recover(); r != nil {
+					f.err = fmt.Errorf("portfolio: strategy %s panicked: %v", strategies[i].Name, r)
+				}
+				f.wall = time.Since(start)
+				done <- f
+			}()
+			f.res, f.err = eng.SolveContext(runCtx)
 		}(i)
 	}
 

@@ -3,11 +3,13 @@ package portfolio
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
 	"absolver/internal/core"
 	"absolver/internal/expr"
+	"absolver/internal/lp"
 )
 
 func satProblem(t *testing.T) *core.Problem {
@@ -193,5 +195,45 @@ func TestDefaultStrategies(t *testing.T) {
 	a, b := DefaultStrategies(3), DefaultStrategies(3)
 	if a[2].Config.Nonlinear == b[2].Config.Nonlinear {
 		t.Fatal("DefaultStrategies shares solver instances between calls")
+	}
+}
+
+// panickingLinear panics on its first check, after closing entered.
+type panickingLinear struct{ entered chan struct{} }
+
+func (panickingLinear) Name() string { return "panicking" }
+
+func (s panickingLinear) Check(context.Context, []lp.Constraint, map[string]float64, map[string]float64, map[string]bool) core.LinearVerdict {
+	close(s.entered)
+	panic("linear solver bug")
+}
+
+// gatedLinear delegates to the simplex solver once the panicking member
+// has entered its check, so the panic always happens before the race is
+// decided.
+type gatedLinear struct {
+	core.LinearSolver
+	entered chan struct{}
+}
+
+func (s gatedLinear) Check(ctx context.Context, rows []lp.Constraint, lower, upper map[string]float64, ints map[string]bool) core.LinearVerdict {
+	<-s.entered
+	return s.LinearSolver.Check(ctx, rows, lower, upper, ints)
+}
+
+// TestPanickingMemberLosesRace: a member whose solver panics reports the
+// panic as its own error, and the healthy member's verdict still wins.
+func TestPanickingMemberLosesRace(t *testing.T) {
+	entered := make(chan struct{})
+	out := Solve(context.Background(), satProblem(t), []Strategy{
+		{Name: "broken", Config: core.Config{Linear: panickingLinear{entered}}},
+		{Name: "healthy", Config: core.Config{Linear: gatedLinear{core.NewSimplexSolver(), entered}}},
+	})
+	if out.Err != nil || out.Result.Status != core.StatusSat || out.Winner != "healthy" {
+		t.Fatalf("outcome = %v winner %q err %v, want sat from healthy", out.Result.Status, out.Winner, out.Err)
+	}
+	err := out.Engines[0].Err
+	if err == nil || !strings.Contains(err.Error(), "broken") || !strings.Contains(err.Error(), "linear solver bug") {
+		t.Fatalf("broken member's error = %v, want the strategy name and the panic value", err)
 	}
 }

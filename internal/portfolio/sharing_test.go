@@ -114,7 +114,7 @@ func TestNoShareDisablesExchange(t *testing.T) {
 // TestStrategyKeepsOwnExchange: a strategy arriving with its own exchange
 // client keeps it; the race does not overwrite caller wiring.
 func TestStrategyKeepsOwnExchange(t *testing.T) {
-	ex := exchange.New(exchange.Options{})
+	ex := exchange.New()
 	feeder := ex.NewClient()
 	feeder.Publish([]int{-1, -2})
 	p := core.NewProblem()

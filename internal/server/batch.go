@@ -1,12 +1,12 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strings"
 	"time"
@@ -81,12 +81,17 @@ func (s *Server) batchRequest(w http.ResponseWriter, r *http.Request) (api.Solve
 		return params, nil, nil, errors.New("batch sessions are incremental; restart is not supported")
 	}
 
-	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	sc.Buffer(make([]byte, 64<<10), int(s.cfg.MaxBodyBytes)+1)
+	// The whole body is read before any line is decoded, so an overflow
+	// anywhere in it answers 413, not a parse error on a truncated line.
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	if err != nil {
+		return params, nil, nil, bodyError("batch body", err)
+	}
 	var header *api.BatchRequest
 	var instances []api.BatchInstance
-	for line := 1; sc.Scan(); line++ {
-		text := bytes.TrimSpace(sc.Bytes())
+	for i, raw := range bytes.Split(body, []byte("\n")) {
+		line := i + 1
+		text := bytes.TrimSpace(raw)
 		if len(text) == 0 {
 			continue
 		}
@@ -104,9 +109,6 @@ func (s *Server) batchRequest(w http.ResponseWriter, r *http.Request) (api.Solve
 		if instances = append(instances, inst); len(instances) > s.cfg.MaxBatchInstances {
 			return params, nil, nil, fmt.Errorf("batch exceeds the server maximum of %d instances", s.cfg.MaxBatchInstances)
 		}
-	}
-	if err := sc.Err(); err != nil {
-		return params, nil, nil, bodyError("batch body", err)
 	}
 	if header == nil {
 		return params, nil, nil, errors.New("batch body is empty: want a {\"base\": ...} header line")

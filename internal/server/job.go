@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -268,8 +267,7 @@ func (s *Server) refuse(w http.ResponseWriter, noun string, err error) {
 // parser limits.
 func tooLarge(err error) bool {
 	var mb *http.MaxBytesError
-	return errors.As(err, &mb) || errors.Is(err, bufio.ErrTooLong) ||
-		errors.Is(err, dimacs.ErrInputTooLarge) || errors.Is(err, smtlib.ErrInputTooLarge)
+	return errors.As(err, &mb) || errors.Is(err, dimacs.ErrInputTooLarge) || errors.Is(err, smtlib.ErrInputTooLarge)
 }
 
 // bodyError prefixes a body read or parse failure for its 400 answer but

@@ -139,12 +139,6 @@ func (m *metrics) reject(reason string) {
 	m.rejected[reason]++
 }
 
-func (m *metrics) rejectedCount(reason string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.rejected[reason]
-}
-
 // gauges are the point-in-time values rendered next to the counters.
 type gauges struct {
 	queueDepth    int

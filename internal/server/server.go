@@ -94,9 +94,6 @@ type Config struct {
 	// arbitrary URL is an SSRF vector on a public instance, so only
 	// deployments that opt in (absolverd -worker) honour it.
 	AllowExchange bool
-	// ExchangePollInterval throttles a worker engine's relay import polls
-	// (0 = the exchange package default).
-	ExchangePollInterval time.Duration
 	// ClusterMetrics, when set, is rendered into /metrics as the
 	// absolverd_cluster_* series (coordinator deployments).
 	ClusterMetrics *ClusterMetrics
@@ -287,8 +284,7 @@ func (s *Server) solve(ctx context.Context, p *core.Problem, params api.SolvePar
 		// Worker mode: share theory lemmas with sibling cube solves through
 		// the coordinator's relay. The trailing Flush pushes lemmas learned
 		// just before this cube's verdict to peers still running.
-		nc := exchange.NewNetClient(params.ExchangeURL, params.ExchangeNode,
-			exchange.NetOptions{PollInterval: s.cfg.ExchangePollInterval})
+		nc := exchange.NewNetClient(params.ExchangeURL, params.ExchangeNode)
 		defer nc.Flush()
 		base.Exchange = nc
 	}
