@@ -143,9 +143,13 @@ func lazySolve(p *core.Problem, cfg lazyConfig) (Result, error) {
 			return Result{}, fmt.Errorf("%w: %s", ErrNonlinear, a.String())
 		}
 	}
-	deadline := time.Time{}
+	// One deadline bounds every round, and the SAT search and the LP check
+	// inside each round.
+	ctx := context.Background()
 	if cfg.timeout > 0 {
-		deadline = time.Now().Add(cfg.timeout)
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, cfg.timeout)
+		defer cancel()
 	}
 
 	s := sat.New()
@@ -187,11 +191,14 @@ func lazySolve(p *core.Problem, cfg lazyConfig) (Result, error) {
 
 	for iter := 0; iter < maxIterations; iter++ {
 		st.Iterations++
-		if !deadline.IsZero() && time.Now().After(deadline) {
+		if ctx.Err() != nil {
 			return Result{Status: core.StatusUnknown, Stats: st}, ErrTimeout
 		}
-		model, res, err := s.SolveModel()
+		model, res, err := s.SolveModelContext(ctx)
 		if err != nil {
+			if ctx.Err() != nil {
+				return Result{Status: core.StatusUnknown, Stats: st}, ErrTimeout
+			}
 			return Result{Stats: st}, err
 		}
 		if res != sat.LTrue {
@@ -258,8 +265,10 @@ func lazySolve(p *core.Problem, cfg lazyConfig) (Result, error) {
 		}
 		// Tight integration: an infeasible check is minimised to an
 		// irreducible subset before it goes back to the Boolean layer.
-		lr, iis := prob.CheckContext(context.Background(), 0)
+		lr, iis := prob.CheckContext(ctx, 0)
 		switch lr.Status {
+		case lp.Canceled:
+			return Result{Status: core.StatusUnknown, Stats: st}, ErrTimeout
 		case lp.Infeasible:
 			if iis != nil {
 				blockRows(s, rows, iis)

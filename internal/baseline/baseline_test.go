@@ -195,6 +195,36 @@ func TestTimeout(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("err = %v, want ErrTimeout", err)
 	}
+
+	// The budget also bounds a single SAT round: pigeonhole PHP(9, 8) is
+	// one Boolean search of over a second, so a deadline checked only
+	// between rounds overruns it.
+	const n = 8
+	php := core.NewProblem()
+	v := func(i, j int) int { return i*n + j + 1 }
+	for i := 0; i <= n; i++ {
+		var cl []int
+		for j := 0; j < n; j++ {
+			cl = append(cl, v(i, j))
+		}
+		php.AddClause(cl...)
+		for k := i + 1; k <= n; k++ {
+			for j := 0; j < n; j++ {
+				php.AddClause(-v(i, j), -v(k, j))
+			}
+		}
+	}
+	const budget = 50 * time.Millisecond
+	for _, s := range []interface {
+		Solve(*core.Problem) (Result, error)
+	}{&MathSATLike{Timeout: budget}, &CVCLiteLike{Timeout: budget}} {
+		start := time.Now()
+		res, err := s.Solve(php)
+		if wall := time.Since(start); !errors.Is(err, ErrTimeout) || res.Status != core.StatusUnknown || wall > budget+500*time.Millisecond {
+			t.Errorf("%T on PHP(%d, %d) at a %v budget: %v, err %v after %v; want unknown, ErrTimeout within the budget",
+				s, n+1, n, budget, res.Status, err, wall)
+		}
+	}
 }
 
 func TestPairRelation(t *testing.T) {

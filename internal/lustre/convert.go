@@ -1,6 +1,7 @@
 package lustre
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -35,7 +36,6 @@ func FromSimulink(m *simulink.Model) (*Program, error) {
 	}
 	in := func(blk string, port int) Expr { return Ref{feeds[blk][port]} }
 
-	boolBlocks := map[string]bool{}
 	// Two passes: declare, then equations (type of a block's flow depends
 	// only on the block kind).
 	for _, name := range names {
@@ -55,13 +55,11 @@ func FromSimulink(m *simulink.Model) (*Program, error) {
 			}
 			n.Outputs = append(n.Outputs, VarDecl{Name: name, Type: ty})
 		case simulink.RelOp, simulink.Logic:
-			boolBlocks[name] = true
 			n.Locals = append(n.Locals, VarDecl{Name: name, Type: TBool})
 		default:
 			n.Locals = append(n.Locals, VarDecl{Name: name, Type: TReal})
 		}
 	}
-	_ = boolBlocks
 
 	for _, name := range names {
 		b := m.Blocks[name]
@@ -192,18 +190,12 @@ func FromSimulink(m *simulink.Model) (*Program, error) {
 // ---------------------------------------------------------------------------
 // Lustre → AB extraction (the second arrow of Fig. 3).
 
-// extractor converts the main node's Boolean outputs into a circuit.
+// extractor is the lowering's circuit emitter. It lowers instant 0 only:
+// numeric flows are inlined into the atoms that read them, and pre and ->
+// are rejected.
 type extractor struct {
-	node   *Node
-	types  map[string]Type
-	eqs    map[string]Expr
-	inputs map[string]bool
-
-	numCache  map[string]expr.Expr
-	boolCache map[string]*circuit.Gate
-	atomCache map[string]*circuit.Gate
-	busy      map[string]bool
-
+	*Lowering[*circuit.Gate]
+	atoms  map[string]*circuit.Gate
 	aux    []*circuit.Gate
 	auxSeq int
 }
@@ -212,48 +204,24 @@ type extractor struct {
 // the conjunction of all Boolean outputs (plus auxiliary definitions from
 // numeric if-then-else). Numeric outputs are returned separately.
 func Extract(p *Program) (*circuit.Circuit, map[string]expr.Expr, error) {
-	n := p.Main()
-	if n == nil {
-		return nil, nil, fmt.Errorf("lustre: empty program")
+	tab, err := NewTable(p)
+	if err != nil {
+		return nil, nil, err
 	}
-	ex := &extractor{
-		node:      n,
-		types:     map[string]Type{},
-		eqs:       map[string]Expr{},
-		inputs:    map[string]bool{},
-		numCache:  map[string]expr.Expr{},
-		boolCache: map[string]*circuit.Gate{},
-		atomCache: map[string]*circuit.Gate{},
-		busy:      map[string]bool{},
-	}
-	for _, d := range n.Inputs {
-		ex.types[d.Name] = d.Type
-		ex.inputs[d.Name] = true
-	}
-	for _, d := range n.Outputs {
-		ex.types[d.Name] = d.Type
-	}
-	for _, d := range n.Locals {
-		ex.types[d.Name] = d.Type
-	}
-	for _, eq := range n.Equations {
-		if _, dup := ex.eqs[eq.Target]; dup {
-			return nil, nil, fmt.Errorf("lustre: multiple equations for %s", eq.Target)
-		}
-		ex.eqs[eq.Target] = eq.Rhs
-	}
+	ex := &extractor{atoms: map[string]*circuit.Gate{}}
+	ex.Lowering = NewLowering[*circuit.Gate](tab, ex)
 
 	var gates []*circuit.Gate
 	nums := map[string]expr.Expr{}
-	for _, d := range n.Outputs {
+	for _, d := range tab.Node.Outputs {
 		if d.Type == TBool {
-			g, err := ex.boolFlow(d.Name)
+			g, err := ex.Bool(d.Name, 0)
 			if err != nil {
 				return nil, nil, err
 			}
 			gates = append(gates, g)
 		} else {
-			e, err := ex.numFlow(d.Name)
+			e, err := ex.Num(d.Name, 0)
 			if err != nil {
 				return nil, nil, err
 			}
@@ -262,7 +230,7 @@ func Extract(p *Program) (*circuit.Circuit, map[string]expr.Expr, error) {
 	}
 	gates = append(gates, ex.aux...)
 	if len(gates) == 0 {
-		return nil, nums, fmt.Errorf("lustre: node %s has no Boolean outputs", n.Name)
+		return nil, nums, fmt.Errorf("lustre: node %s has no Boolean outputs", tab.Node.Name)
 	}
 	var out *circuit.Gate
 	if len(gates) == 1 {
@@ -282,264 +250,62 @@ func ExtractProblem(p *Program) (*core.Problem, error) {
 	return core.FromCircuit(c), nil
 }
 
-func (ex *extractor) boolFlow(name string) (*circuit.Gate, error) {
-	if g, ok := ex.boolCache[name]; ok {
-		return g, nil
+func (ex *extractor) Const(v bool) *circuit.Gate        { return circuit.Const(v) }
+func (ex *extractor) Not(g *circuit.Gate) *circuit.Gate { return circuit.Not(g) }
+
+func (ex *extractor) Gate(op string, a, b *circuit.Gate) (*circuit.Gate, error) {
+	switch op {
+	case "and":
+		return circuit.And(a, b), nil
+	case "or":
+		return circuit.Or(a, b), nil
+	case "xor":
+		return circuit.Xor(a, b), nil
 	}
-	if ex.inputs[name] {
-		g := circuit.Input(name)
-		ex.boolCache[name] = g
-		return g, nil
-	}
-	rhs, ok := ex.eqs[name]
-	if !ok {
-		return nil, fmt.Errorf("lustre: no equation for Boolean flow %s", name)
-	}
-	if ex.busy[name] {
-		return nil, fmt.Errorf("lustre: cyclic definition of %s", name)
-	}
-	ex.busy[name] = true
-	defer delete(ex.busy, name)
-	g, err := ex.boolExpr(rhs)
-	if err != nil {
-		return nil, err
-	}
-	ex.boolCache[name] = g
-	return g, nil
+	return circuit.Implies(a, b), nil
 }
 
-func (ex *extractor) numFlow(name string) (expr.Expr, error) {
-	if e, ok := ex.numCache[name]; ok {
-		return e, nil
-	}
-	if ex.inputs[name] {
-		e := expr.V(name)
-		ex.numCache[name] = e
-		return e, nil
-	}
-	rhs, ok := ex.eqs[name]
-	if !ok {
-		return nil, fmt.Errorf("lustre: no equation for numeric flow %s", name)
-	}
-	if ex.busy[name] {
-		return nil, fmt.Errorf("lustre: cyclic definition of %s", name)
-	}
-	ex.busy[name] = true
-	defer delete(ex.busy, name)
-	e, err := ex.numExpr(rhs)
-	if err != nil {
-		return nil, err
-	}
-	ex.numCache[name] = e
-	return e, nil
+func (ex *extractor) Ite(c, a, b *circuit.Gate) (*circuit.Gate, error) {
+	return circuit.Ite(c, a, b), nil
 }
 
-func (ex *extractor) boolExpr(e Expr) (*circuit.Gate, error) {
-	switch x := e.(type) {
-	case BoolLit:
-		return circuit.Const(x.V), nil
-	case Ref:
-		if t, ok := ex.types[x.Name]; ok && t != TBool {
-			return nil, fmt.Errorf("lustre: %s used as bool but declared %s", x.Name, t)
-		}
-		return ex.boolFlow(x.Name)
-	case Unary:
-		if x.Op != "not" {
-			return nil, fmt.Errorf("lustre: unary %q is not Boolean", x.Op)
-		}
-		g, err := ex.boolExpr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return circuit.Not(g), nil
-	case Binary:
-		switch x.Op {
-		case "and", "or", "xor", "=>":
-			l, err := ex.boolExpr(x.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := ex.boolExpr(x.R)
-			if err != nil {
-				return nil, err
-			}
-			switch x.Op {
-			case "and":
-				return circuit.And(l, r), nil
-			case "or":
-				return circuit.Or(l, r), nil
-			case "xor":
-				return circuit.Xor(l, r), nil
-			default:
-				return circuit.Implies(l, r), nil
-			}
-		case "<", "<=", ">", ">=", "=", "<>":
-			// Boolean '=' / '<>' over Boolean operands is iff / xor.
-			if (x.Op == "=" || x.Op == "<>") && ex.isBoolOperand(x.L) && ex.isBoolOperand(x.R) {
-				l, err := ex.boolExpr(x.L)
-				if err != nil {
-					return nil, err
-				}
-				r, err := ex.boolExpr(x.R)
-				if err != nil {
-					return nil, err
-				}
-				if x.Op == "=" {
-					return circuit.Not(circuit.Xor(l, r)), nil
-				}
-				return circuit.Xor(l, r), nil
-			}
-			l, err := ex.numExpr(x.L)
-			if err != nil {
-				return nil, err
-			}
-			r, err := ex.numExpr(x.R)
-			if err != nil {
-				return nil, err
-			}
-			op := map[string]expr.CmpOp{
-				"<": expr.CmpLT, "<=": expr.CmpLE, ">": expr.CmpGT,
-				">=": expr.CmpGE, "=": expr.CmpEQ, "<>": expr.CmpNE,
-			}[x.Op]
-			return ex.atomGate(expr.NewAtom(l, op, r, ex.domainOf(l, r))), nil
-		}
-		return nil, fmt.Errorf("lustre: operator %q is not Boolean", x.Op)
-	case Ite:
-		c, err := ex.boolExpr(x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		t, err := ex.boolExpr(x.Then)
-		if err != nil {
-			return nil, err
-		}
-		el, err := ex.boolExpr(x.Else)
-		if err != nil {
-			return nil, err
-		}
-		return circuit.Ite(c, t, el), nil
-	}
-	return nil, fmt.Errorf("lustre: expression %T is not Boolean", e)
-}
-
-func (ex *extractor) isBoolOperand(e Expr) bool {
-	switch x := e.(type) {
-	case BoolLit:
-		return true
-	case Ref:
-		return ex.types[x.Name] == TBool
-	case Unary:
-		return x.Op == "not"
-	case Binary:
-		switch x.Op {
-		case "and", "or", "xor", "=>", "<", "<=", ">", ">=":
-			return true
-		}
-	}
-	return false
-}
-
-func (ex *extractor) numExpr(e Expr) (expr.Expr, error) {
-	switch x := e.(type) {
-	case Num:
-		return expr.C(x.V), nil
-	case Ref:
-		if t, ok := ex.types[x.Name]; ok && t == TBool {
-			return nil, fmt.Errorf("lustre: %s used numerically but declared bool", x.Name)
-		}
-		return ex.numFlow(x.Name)
-	case Unary:
-		if x.Op != "-" {
-			return nil, fmt.Errorf("lustre: unary %q is not numeric", x.Op)
-		}
-		inner, err := ex.numExpr(x.X)
-		if err != nil {
-			return nil, err
-		}
-		return expr.Neg{X: inner}, nil
-	case Binary:
-		var op expr.Op
-		switch x.Op {
-		case "+":
-			op = expr.OpAdd
-		case "-":
-			op = expr.OpSub
-		case "*":
-			op = expr.OpMul
-		case "/":
-			op = expr.OpDiv
-		default:
-			return nil, fmt.Errorf("lustre: operator %q is not numeric", x.Op)
-		}
-		l, err := ex.numExpr(x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ex.numExpr(x.R)
-		if err != nil {
-			return nil, err
-		}
-		return expr.Bin{Op: op, L: l, R: r}, nil
-	case Ite:
-		// Numeric if-then-else: introduce an auxiliary variable v with the
-		// guarded definition (cond → v = then) ∧ (¬cond → v = else).
-		c, err := ex.boolExpr(x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		th, err := ex.numExpr(x.Then)
-		if err != nil {
-			return nil, err
-		}
-		el, err := ex.numExpr(x.Else)
-		if err != nil {
-			return nil, err
-		}
-		ex.auxSeq++
-		v := expr.V(fmt.Sprintf("%s.ite%d", ex.node.Name, ex.auxSeq))
-		dom := ex.domainOf(th, el)
-		ex.aux = append(ex.aux,
-			circuit.Implies(c, ex.atomGate(expr.NewAtom(v, expr.CmpEQ, th, dom))),
-			circuit.Implies(circuit.Not(c), ex.atomGate(expr.NewAtom(v, expr.CmpEQ, el, dom))),
-		)
-		return v, nil
-	case Call:
-		arg, err := ex.numExpr(x.Arg)
-		if err != nil {
-			return nil, err
-		}
-		fn, ok := map[string]expr.Func{
-			"sin": expr.FuncSin, "cos": expr.FuncCos, "exp": expr.FuncExp,
-			"log": expr.FuncLog, "sqrt": expr.FuncSqrt, "abs": expr.FuncAbs,
-		}[x.Fn]
-		if !ok {
-			return nil, fmt.Errorf("lustre: unknown function %q", x.Fn)
-		}
-		return expr.Call{Fn: fn, Arg: arg}, nil
-	}
-	return nil, fmt.Errorf("lustre: expression %T is not numeric", e)
-}
-
-// domainOf returns Int when every variable of the expressions is declared
-// int, Real otherwise.
-func (ex *extractor) domainOf(es ...expr.Expr) expr.Domain {
-	for _, e := range es {
-		for _, v := range expr.Vars(e) {
-			if ex.types[v] != TInt {
-				return expr.Real
-			}
-		}
-	}
-	return expr.Int
-}
+func (ex *extractor) Atom(a expr.Atom) (*circuit.Gate, error) { return ex.atomGate(a), nil }
 
 // atomGate shares gates between identical atoms.
 func (ex *extractor) atomGate(a expr.Atom) *circuit.Gate {
 	key := a.String() + "#" + a.Domain.String()
-	if g, ok := ex.atomCache[key]; ok {
+	if g, ok := ex.atoms[key]; ok {
 		return g
 	}
 	g := circuit.AtomGate(a)
-	ex.atomCache[key] = g
+	ex.atoms[key] = g
 	return g
 }
+
+func (ex *extractor) BoolInput(name string, _ int) *circuit.Gate { return circuit.Input(name) }
+
+func (ex *extractor) NumInput(name string, _ int) (expr.Expr, error) {
+	ty, _ := ex.Type(name)
+	return ex.Var(name, ty == TInt), nil
+}
+
+func (ex *extractor) NumFlow(_ string, _ int, e expr.Expr) (expr.Expr, error) { return e, nil }
+
+// NumIte introduces an auxiliary variable v with the guarded definition
+// (c → v = a) ∧ (¬c → v = b). v is real-typed, so atoms that read it are
+// real even when both branches are integer.
+func (ex *extractor) NumIte(c *circuit.Gate, a, b expr.Expr, dom expr.Domain, _ int) (expr.Expr, error) {
+	ex.auxSeq++
+	v := expr.V(fmt.Sprintf("%s.ite%d", ex.Node.Name, ex.auxSeq))
+	ex.aux = append(ex.aux,
+		circuit.Implies(c, ex.atomGate(expr.NewAtom(v, expr.CmpEQ, a, dom))),
+		circuit.Implies(circuit.Not(c), ex.atomGate(expr.NewAtom(v, expr.CmpEQ, b, dom))),
+	)
+	return v, nil
+}
+
+var errStateful = errors.New("lustre: pre and -> need a stateful analysis (package mc); Extract is combinational")
+
+func (ex *extractor) Init() (*circuit.Gate, error)    { return nil, errStateful }
+func (ex *extractor) PreBool() (*circuit.Gate, error) { return nil, errStateful }
+func (ex *extractor) PreNum(bool) (expr.Expr, error)  { return nil, errStateful }

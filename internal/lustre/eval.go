@@ -14,21 +14,18 @@ import (
 // counterexample trace can be fed to either replay path unchanged.
 //
 // State is the valuation of the program's pre-expressions: `pre e` at
-// instant t>0 is the value e had at t-1; at t=0 it takes the value supplied
-// via SetInit (default 0), keyed by FormatExpr(e). `a -> b` is a at instant
-// 0 and b afterwards.
+// instant t>0 is the value e had at t-1; at t=0 it is 0 (false). `a -> b`
+// is a at instant 0 and b afterwards.
 
-// Evaluator executes the main node instant by instant.
+// Evaluator executes the main node instant by instant. It keeps its own
+// expression semantics, apart from the lowering, because it is the
+// reference that model-checking verdicts are tested against.
 type Evaluator struct {
-	node   *Node
-	eqs    map[string]Expr
-	types  map[string]Type
-	inputs map[string]bool
+	*Table
 
 	preOps map[string]Expr // FormatExpr(operand) → operand
 	t      int
 	prev   map[string]float64 // pre-expression key → value at instant t-1
-	init   map[string]float64 // pre-expression key → value at instant 0
 
 	// per-step scratch
 	vals map[string]float64
@@ -36,52 +33,16 @@ type Evaluator struct {
 	in   map[string]float64
 }
 
-// NewEvaluator validates the program's main node (every non-input flow has
-// exactly one equation, every equation targets a declared flow) and returns
-// an evaluator positioned before the first instant.
+// NewEvaluator validates the program's main node (see NewTable) and
+// returns an evaluator positioned before the first instant.
 func NewEvaluator(p *Program) (*Evaluator, error) {
-	n := p.Main()
-	if n == nil {
-		return nil, fmt.Errorf("lustre: empty program")
+	tab, err := NewTable(p)
+	if err != nil {
+		return nil, err
 	}
-	ev := &Evaluator{
-		node:   n,
-		eqs:    map[string]Expr{},
-		types:  map[string]Type{},
-		inputs: map[string]bool{},
-		preOps: map[string]Expr{},
-		prev:   map[string]float64{},
-		init:   map[string]float64{},
-	}
-	for _, d := range n.Inputs {
-		ev.types[d.Name] = d.Type
-		ev.inputs[d.Name] = true
-	}
-	for _, d := range n.Outputs {
-		ev.types[d.Name] = d.Type
-	}
-	for _, d := range n.Locals {
-		ev.types[d.Name] = d.Type
-	}
-	for _, eq := range n.Equations {
-		if ev.inputs[eq.Target] {
-			return nil, fmt.Errorf("lustre: equation for input %s", eq.Target)
-		}
-		if _, ok := ev.types[eq.Target]; !ok {
-			return nil, fmt.Errorf("lustre: equation for undeclared flow %s", eq.Target)
-		}
-		if _, dup := ev.eqs[eq.Target]; dup {
-			return nil, fmt.Errorf("lustre: multiple equations for %s", eq.Target)
-		}
-		ev.eqs[eq.Target] = eq.Rhs
+	ev := &Evaluator{Table: tab, preOps: map[string]Expr{}, prev: map[string]float64{}}
+	for _, eq := range tab.Node.Equations {
 		collectPre(eq.Rhs, ev.preOps)
-	}
-	for name := range ev.types {
-		if !ev.inputs[name] {
-			if _, ok := ev.eqs[name]; !ok {
-				return nil, fmt.Errorf("lustre: no equation for flow %s", name)
-			}
-		}
 	}
 	return ev, nil
 }
@@ -104,20 +65,6 @@ func collectPre(e Expr, out map[string]Expr) {
 		collectPre(x.Arg, out)
 	}
 }
-
-// SetInit supplies values taken by pre-expressions at the first instant,
-// keyed by FormatExpr of the operand (the default is 0). Well-initialised
-// programs — every pre guarded by the step branch of an -> — never read
-// these.
-func (ev *Evaluator) SetInit(init map[string]float64) {
-	for k, v := range init {
-		ev.init[k] = v
-	}
-}
-
-// Instant returns the index of the next instant to execute (0 before the
-// first Step).
-func (ev *Evaluator) Instant() int { return ev.t }
 
 // Clone returns an independent evaluator sharing the (immutable) program
 // but with its own copy of the pre-state. Used by the explicit-state
@@ -238,10 +185,10 @@ func (ev *Evaluator) eval(e Expr) (float64, error) {
 			}
 			return -v, nil
 		case "pre":
-			key := FormatExpr(x.X)
 			if ev.t == 0 {
-				return ev.init[key], nil
+				return 0, nil
 			}
+			key := FormatExpr(x.X)
 			v, ok := ev.prev[key]
 			if !ok {
 				return 0, fmt.Errorf("lustre: no previous value for pre %s", key)

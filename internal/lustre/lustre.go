@@ -7,12 +7,16 @@
 // flows with dataflow equations — together with a parser, a printer, the
 // Simulink→Lustre translation, and the Lustre→AB extraction.
 //
-// The per-instant analyses (Extract, ExtractProblem) are combinational: they
-// reject the stateful operators pre and -> with an error. The stateful
-// subset is handled by the bounded model checker in package mc, which
-// unrolls pre/-> over timestep-indexed copies of the flows, and by the
-// step-semantics evaluator in this package (Eval), which replays concrete
-// input traces. `when` remains unsupported.
+// One lowering (Lowering, over a validated Table) turns a node's equations
+// into solver terms, one copy of each flow per instant, and hands them to
+// an Emitter. There are two emitters. Extract's builds circuit gates for
+// instant 0 and rejects the stateful operators pre and -> there; package
+// mc's builds session literals for instants 0..k, connecting instants
+// through pre and ->, for bounded model checking and k-induction. The
+// step-semantics evaluator (Evaluator, Run) shares only the Table: it keeps
+// its own expression semantics because it is the reference that replays
+// concrete input traces and checks model-checking verdicts. `when` remains
+// unsupported.
 package lustre
 
 import (
@@ -201,12 +205,9 @@ func prec(op string) int {
 func fmtExpr(sb *strings.Builder, e Expr, outer int) {
 	switch x := e.(type) {
 	case Num:
-		s := strconv.FormatFloat(x.V, 'g', -1, 64)
-		// Lustre distinguishes int and real literals by the decimal point.
-		if !strings.ContainsAny(s, ".eE") && x.V == float64(int64(x.V)) {
-			// Keep integer form; real contexts accept ints in our dialect.
-		}
-		sb.WriteString(s)
+		// Integral reals print without a decimal point: real contexts
+		// accept int literals in this dialect.
+		sb.WriteString(strconv.FormatFloat(x.V, 'g', -1, 64))
 	case BoolLit:
 		if x.V {
 			sb.WriteString("true")

@@ -152,31 +152,41 @@ tel;
 }
 
 func TestBooleanIteAndOperators(t *testing.T) {
-	src := `
-node ops(x: real; p: bool) returns (o: bool);
-let
-  o = (if p then x > 1.0 else x < -1.0) and (p => x > 0.0) and (p xor false) ;
-tel;
-`
-	p, err := Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prob, err := ExtractProblem(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prob.SetBounds("x", -10, 10)
-	res, err := core.NewEngine(prob, core.Config{}).Solve()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// p xor false forces p; then x > 1 and x > 0.
-	if res.Status != core.StatusSat {
-		t.Fatalf("status = %v", res.Status)
-	}
-	if res.Model.Real["x"] <= 1 {
-		t.Fatalf("x = %g should be > 1", res.Model.Real["x"])
+	for _, tc := range []struct {
+		name, src string
+		want      core.Status
+		minX      float64 // exclusive lower bound on a sat model's x
+	}{
+		// p xor false forces p; then x > 1 and x > 0.
+		{"ite-implies-xor", `node ops(x: real; p: bool) returns (o: bool);
+let o = (if p then x > 1.0 else x < -1.0) and (p => x > 0.0) and (p xor false); tel;`, core.StatusSat, 1},
+		// A Boolean if-then-else is a Boolean operand of '='.
+		{"ite-iff-unsat", `node n(a, b, c: bool) returns (o: bool);
+let o = ((if a then b else c) = a) and a and not b; tel;`, core.StatusUnsat, 0},
+		{"ite-iff-sat", `node n(a, b, c: bool) returns (o: bool);
+let o = ((if a then b else c) = a) and not a and not c; tel;`, core.StatusSat, 0},
+	} {
+		p, err := Parse(tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		prob, err := ExtractProblem(p)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if tc.minX != 0 {
+			prob.SetBounds("x", -10, 10)
+		}
+		res, err := core.NewEngine(prob, core.Config{}).Solve()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if res.Status != tc.want {
+			t.Fatalf("%s: status = %v, want %v", tc.name, res.Status, tc.want)
+		}
+		if tc.minX != 0 && res.Model.Real["x"] <= tc.minX {
+			t.Fatalf("%s: x = %g should be > %g", tc.name, res.Model.Real["x"], tc.minX)
+		}
 	}
 }
 
@@ -192,6 +202,12 @@ func TestExtractErrors(t *testing.T) {
 		"node n(x: real) returns (o: bool); let o = x > 0; o = x < 0; tel;",
 		// No Boolean outputs.
 		"node n(x: real) returns (o: real); let o = x + 1; tel;",
+		// Equation for an input.
+		"node n(a: bool) returns (o: bool); let a = true; o = a; tel;",
+		// Equation for an undeclared flow.
+		"node n(x: real) returns (o: bool); let o = x > 0; ghost = x > 1; tel;",
+		// Declared flow with no equation, never read.
+		"node n(x: real) returns (o: bool); var l: real; let o = x > 0; tel;",
 	}
 	for _, src := range bad {
 		p, err := Parse(src)
@@ -199,7 +215,7 @@ func TestExtractErrors(t *testing.T) {
 			continue // parse-level rejection is fine too
 		}
 		if _, _, err := Extract(p); err == nil {
-			t.Fatalf("accepted %q", src)
+			t.Errorf("accepted %q", src)
 		}
 	}
 }

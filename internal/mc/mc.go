@@ -27,7 +27,6 @@ import (
 
 	"absolver/internal/core"
 	"absolver/internal/lustre"
-	"absolver/internal/simulink"
 )
 
 // Verdict is the outcome of a Check call.
@@ -121,17 +120,8 @@ func (o *Options) config() core.Config {
 }
 
 // resolveProperty picks and validates the property flow.
-func resolveProperty(n *lustre.Node, name string) (string, error) {
-	types := map[string]lustre.Type{}
-	for _, d := range n.Inputs {
-		types[d.Name] = d.Type
-	}
-	for _, d := range n.Outputs {
-		types[d.Name] = d.Type
-	}
-	for _, d := range n.Locals {
-		types[d.Name] = d.Type
-	}
+func resolveProperty(tab *lustre.Table, name string) (string, error) {
+	n := tab.Node
 	if name == "" {
 		for _, d := range n.Outputs {
 			if d.Type == lustre.TBool {
@@ -146,7 +136,7 @@ func resolveProperty(n *lustre.Node, name string) (string, error) {
 		}
 		return name, nil
 	}
-	ty, ok := types[name]
+	ty, ok := tab.Type(name)
 	if !ok {
 		return "", fmt.Errorf("mc: property flow %s is not declared", name)
 	}
@@ -156,37 +146,27 @@ func resolveProperty(n *lustre.Node, name string) (string, error) {
 	return name, nil
 }
 
-// CheckModel verifies a Simulink block diagram by converting it through
-// lustre.FromSimulink first.
-func CheckModel(ctx context.Context, m *simulink.Model, opts Options) (Result, error) {
-	prog, err := lustre.FromSimulink(m)
-	if err != nil {
-		return Result{}, err
-	}
-	return Check(ctx, prog, opts)
-}
-
 // Check verifies G(property) on the program's main node up to
 // opts.MaxDepth, interleaving BMC base cases with k-induction step cases.
 func Check(ctx context.Context, prog *lustre.Program, opts Options) (Result, error) {
-	n := prog.Main()
-	if n == nil {
-		return Result{}, fmt.Errorf("mc: empty program")
+	tab, err := lustre.NewTable(prog)
+	if err != nil {
+		return Result{}, err
 	}
-	prop, err := resolveProperty(n, opts.Property)
+	prop, err := resolveProperty(tab, opts.Property)
 	if err != nil {
 		return Result{}, err
 	}
 	opts.Property = prop
 	if opts.Cold {
-		return checkCold(ctx, prog, opts)
+		return checkCold(ctx, prog, tab, opts)
 	}
 
 	sess, err := core.NewSession(core.NewProblem(), opts.config())
 	if err != nil {
 		return Result{}, err
 	}
-	ur, err := newUnroller(sess, prog, opts.InputBounds)
+	ur, err := newUnroller(sess, tab, opts.InputBounds)
 	if err != nil {
 		return Result{}, err
 	}
@@ -195,10 +175,10 @@ func Check(ctx context.Context, prog *lustre.Program, opts Options) (Result, err
 	var propLits []int
 	for d := 0; d <= opts.maxDepth(); d++ {
 		sess.Push()
-		if err := ur.encodeStep(d); err != nil {
+		if err := ur.Step(d); err != nil {
 			return res, err
 		}
-		pd, err := ur.propLit(prop, d)
+		pd, err := ur.Bool(prop, d)
 		if err != nil {
 			return res, err
 		}
@@ -266,32 +246,32 @@ func checkDepth(ctx context.Context, sess *core.Session, ur *unroller, prog *lus
 
 // checkCold is the ablation path: a fresh session re-encodes instants 0..d
 // for every depth d, paying the full unrolling cost each time.
-func checkCold(ctx context.Context, prog *lustre.Program, opts Options) (Result, error) {
+func checkCold(ctx context.Context, prog *lustre.Program, tab *lustre.Table, opts Options) (Result, error) {
 	res := Result{Verdict: BoundReached, K: -1}
 	for d := 0; d <= opts.maxDepth(); d++ {
 		sess, err := core.NewSession(core.NewProblem(), opts.config())
 		if err != nil {
 			return res, err
 		}
-		ur, err := newUnroller(sess, prog, opts.InputBounds)
+		ur, err := newUnroller(sess, tab, opts.InputBounds)
 		if err != nil {
 			return res, err
 		}
 		var propLits []int
 		for t := 0; t <= d; t++ {
 			sess.Push()
-			if err := ur.encodeStep(t); err != nil {
+			if err := ur.Step(t); err != nil {
 				return res, err
 			}
 			if t < d {
-				pt, err := ur.propLit(opts.Property, t)
+				pt, err := ur.Bool(opts.Property, t)
 				if err != nil {
 					return res, err
 				}
 				propLits = append(propLits, pt)
 			}
 		}
-		pd, err := ur.propLit(opts.Property, d)
+		pd, err := ur.Bool(opts.Property, d)
 		if err != nil {
 			return res, err
 		}
@@ -334,9 +314,10 @@ func extractTrace(ur *unroller, m *core.Model, prop string, step int, bounds map
 	tr := &Trace{Property: prop, Step: step}
 	for t := 0; t <= step; t++ {
 		in := map[string]float64{}
-		for _, d := range ur.node.Inputs {
+		for _, d := range ur.Node.Inputs {
 			if d.Type == lustre.TBool {
-				if lit, ok := ur.steps[t].boolFlow[d.Name]; ok && m != nil && lit-1 < len(m.Bool) && m.Bool[lit-1] {
+				// Step lowered every input, so Bool only reads its cache.
+				if lit, err := ur.Bool(d.Name, t); err == nil && m != nil && lit-1 < len(m.Bool) && m.Bool[lit-1] {
 					in[d.Name] = 1
 				} else {
 					in[d.Name] = 0

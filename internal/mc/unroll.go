@@ -2,24 +2,23 @@ package mc
 
 import (
 	"fmt"
-	"math"
 
 	"absolver/internal/core"
 	"absolver/internal/expr"
 	"absolver/internal/lustre"
 )
 
-// unroller encodes a stateful Lustre node into timestep-indexed AB-problems
-// over one core.Session. Each instant t gets its own copy of every flow:
-// Boolean flows become session literals defined by Tseitin clauses, numeric
-// flows become arithmetic variables name@t pinned by an asserted defining
-// equality. The stateful operators connect adjacent copies:
+// unroller is the lowering's session emitter: it encodes a stateful Lustre
+// node into timestep-indexed AB-problems over one core.Session. Each
+// instant t gets its own copy of every flow: Boolean flows become session
+// literals defined by Tseitin clauses, numeric flows become arithmetic
+// variables name@t pinned by an asserted defining equality. The lowering
+// connects adjacent copies through pre and ->; at instant 0 this emitter
+// supplies
 //
-//	pre e  at t>0  →  the encoding of e at t-1
 //	pre e  at t=0  →  a free variable (the unknown pre-window state), forced
 //	                  to 0/false when vInit is assumed
 //	a -> b at t=0  →  if vInit then a else b
-//	a -> b at t>0  →  b
 //
 // vInit is a free assumption literal meaning "instant 0 of this unrolling
 // is the initial instant of the execution". BMC base cases assume it;
@@ -29,76 +28,18 @@ import (
 // All clauses of step t are asserted inside the frame pushed for depth t;
 // bindings and the frames are monotone for the lifetime of a Check call.
 type unroller struct {
+	*lustre.Lowering[int]
 	sess   *core.Session
-	node   *lustre.Node
-	types  map[string]lustre.Type
-	eqs    map[string]lustre.Expr
-	inputs map[string]bool
 	bounds map[string][2]float64
 
 	vInit   int
 	litTrue int
-
-	steps  []*stepEnv
-	preB   map[string]int       // pre-key → free Boolean literal for the pre-window state
-	preN   map[string]expr.Expr // pre-key → free arithmetic variable
-	varInt map[string]bool      // arithmetic variable name → integer-typed
-	busy   map[string]bool
-	auxSeq int
+	auxSeq  int
 }
 
-// stepEnv caches one instant's encodings.
-type stepEnv struct {
-	boolFlow map[string]int
-	numFlow  map[string]expr.Expr
-}
-
-func newUnroller(sess *core.Session, prog *lustre.Program, bounds map[string][2]float64) (*unroller, error) {
-	n := prog.Main()
-	if n == nil {
-		return nil, fmt.Errorf("mc: empty program")
-	}
-	ur := &unroller{
-		sess:   sess,
-		node:   n,
-		types:  map[string]lustre.Type{},
-		eqs:    map[string]lustre.Expr{},
-		inputs: map[string]bool{},
-		bounds: bounds,
-		preB:   map[string]int{},
-		preN:   map[string]expr.Expr{},
-		varInt: map[string]bool{},
-		busy:   map[string]bool{},
-	}
-	for _, d := range n.Inputs {
-		ur.types[d.Name] = d.Type
-		ur.inputs[d.Name] = true
-	}
-	for _, d := range n.Outputs {
-		ur.types[d.Name] = d.Type
-	}
-	for _, d := range n.Locals {
-		ur.types[d.Name] = d.Type
-	}
-	for _, eq := range n.Equations {
-		if ur.inputs[eq.Target] {
-			return nil, fmt.Errorf("mc: equation for input %s", eq.Target)
-		}
-		if _, ok := ur.types[eq.Target]; !ok {
-			return nil, fmt.Errorf("mc: equation for undeclared flow %s", eq.Target)
-		}
-		if _, dup := ur.eqs[eq.Target]; dup {
-			return nil, fmt.Errorf("mc: multiple equations for %s", eq.Target)
-		}
-		ur.eqs[eq.Target] = eq.Rhs
-	}
-	for name := range ur.types {
-		if !ur.inputs[name] {
-			if _, ok := ur.eqs[name]; !ok {
-				return nil, fmt.Errorf("mc: no equation for flow %s", name)
-			}
-		}
-	}
+func newUnroller(sess *core.Session, tab *lustre.Table, bounds map[string][2]float64) (*unroller, error) {
+	ur := &unroller{sess: sess, bounds: bounds}
+	ur.Lowering = lustre.NewLowering[int](tab, ur)
 	// Base-level bookkeeping literals, allocated before any frame exists so
 	// they are permanent.
 	ur.vInit = sess.NewVar()
@@ -109,238 +50,19 @@ func newUnroller(sess *core.Session, prog *lustre.Program, bounds map[string][2]
 	return ur, nil
 }
 
-// encodeStep materialises instant t (must be called with t == len(steps),
-// inside the frame pushed for depth t). Every declared flow is encoded so
-// the counterexample trace is complete even for flows the property never
-// reads.
-func (ur *unroller) encodeStep(t int) error {
-	if t != len(ur.steps) {
-		return fmt.Errorf("mc: encodeStep(%d) out of order (have %d steps)", t, len(ur.steps))
-	}
-	ur.steps = append(ur.steps, &stepEnv{
-		boolFlow: map[string]int{},
-		numFlow:  map[string]expr.Expr{},
-	})
-	for _, d := range ur.node.Inputs {
-		if err := ur.encodeFlow(d.Name, t); err != nil {
-			return err
-		}
-	}
-	for _, d := range ur.node.Locals {
-		if err := ur.encodeFlow(d.Name, t); err != nil {
-			return err
-		}
-	}
-	for _, d := range ur.node.Outputs {
-		if err := ur.encodeFlow(d.Name, t); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (ur *unroller) encodeFlow(name string, t int) error {
-	if ur.types[name] == lustre.TBool {
-		_, err := ur.boolFlow(name, t)
-		return err
-	}
-	_, err := ur.numFlow(name, t)
-	return err
-}
-
-// propLit returns the literal of the (Boolean) property flow at instant t.
-func (ur *unroller) propLit(name string, t int) (int, error) {
-	return ur.boolFlow(name, t)
-}
-
 func stepVar(name string, t int) string { return fmt.Sprintf("%s@%d", name, t) }
 
-func (ur *unroller) boolFlow(name string, t int) (int, error) {
-	env := ur.steps[t]
-	if l, ok := env.boolFlow[name]; ok {
-		return l, nil
+func (ur *unroller) Const(v bool) int {
+	if v {
+		return ur.litTrue
 	}
-	if ur.inputs[name] {
-		l := ur.sess.NewVar()
-		env.boolFlow[name] = l
-		return l, nil
-	}
-	rhs, ok := ur.eqs[name]
-	if !ok {
-		return 0, fmt.Errorf("mc: no equation for Boolean flow %s", name)
-	}
-	key := stepVar(name, t)
-	if ur.busy[key] {
-		return 0, fmt.Errorf("mc: cyclic definition of %s", name)
-	}
-	ur.busy[key] = true
-	defer delete(ur.busy, key)
-	l, err := ur.encBool(rhs, t)
-	if err != nil {
-		return 0, err
-	}
-	env.boolFlow[name] = l
-	return l, nil
+	return -ur.litTrue
 }
 
-func (ur *unroller) numFlow(name string, t int) (expr.Expr, error) {
-	env := ur.steps[t]
-	if e, ok := env.numFlow[name]; ok {
-		return e, nil
-	}
-	vn := stepVar(name, t)
-	if ur.inputs[name] {
-		v := expr.V(vn)
-		ur.varInt[vn] = ur.types[name] == lustre.TInt
-		if b, ok := ur.bounds[name]; ok {
-			if err := ur.sess.SetBounds(vn, b[0], b[1]); err != nil {
-				return nil, err
-			}
-		}
-		env.numFlow[name] = v
-		return v, nil
-	}
-	rhs, ok := ur.eqs[name]
-	if !ok {
-		return nil, fmt.Errorf("mc: no equation for numeric flow %s", name)
-	}
-	if ur.busy[vn] {
-		return nil, fmt.Errorf("mc: cyclic definition of %s", name)
-	}
-	ur.busy[vn] = true
-	defer delete(ur.busy, vn)
+func (ur *unroller) Not(l int) int { return -l }
 
-	v := expr.V(vn)
-	ur.varInt[vn] = ur.types[name] == lustre.TInt
-	e, err := ur.encNum(rhs, t)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := ur.sess.Assert(expr.NewAtom(v, expr.CmpEQ, e, ur.domainOf(v, e))); err != nil {
-		return nil, err
-	}
-	env.numFlow[name] = v
-	return v, nil
-}
-
-// encBool encodes a Boolean expression at instant t as a session literal.
-func (ur *unroller) encBool(e lustre.Expr, t int) (int, error) {
-	switch x := e.(type) {
-	case lustre.BoolLit:
-		if x.V {
-			return ur.litTrue, nil
-		}
-		return -ur.litTrue, nil
-	case lustre.Ref:
-		if ty, ok := ur.types[x.Name]; !ok || ty != lustre.TBool {
-			return 0, fmt.Errorf("mc: %s used as bool but not declared bool", x.Name)
-		}
-		return ur.boolFlow(x.Name, t)
-	case lustre.Unary:
-		switch x.Op {
-		case "not":
-			l, err := ur.encBool(x.X, t)
-			if err != nil {
-				return 0, err
-			}
-			return -l, nil
-		case "pre":
-			if t > 0 {
-				return ur.encBool(x.X, t-1)
-			}
-			key := lustre.FormatExpr(x.X)
-			if l, ok := ur.preB[key]; ok {
-				return l, nil
-			}
-			l := ur.sess.NewVar()
-			ur.preB[key] = l
-			// The evaluator's initial pre-value is false; pin the same
-			// under vInit so base-case traces replay exactly.
-			if err := ur.sess.AssertClause(-ur.vInit, -l); err != nil {
-				return 0, err
-			}
-			return l, nil
-		}
-		return 0, fmt.Errorf("mc: unary %q is not Boolean", x.Op)
-	case lustre.Binary:
-		switch x.Op {
-		case "->":
-			if t > 0 {
-				return ur.encBool(x.R, t)
-			}
-			init, err := ur.encBool(x.L, 0)
-			if err != nil {
-				return 0, err
-			}
-			step, err := ur.encBool(x.R, 0)
-			if err != nil {
-				return 0, err
-			}
-			return ur.boolIte(ur.vInit, init, step)
-		case "and", "or", "xor", "=>":
-			a, err := ur.encBool(x.L, t)
-			if err != nil {
-				return 0, err
-			}
-			b, err := ur.encBool(x.R, t)
-			if err != nil {
-				return 0, err
-			}
-			return ur.boolGate(x.Op, a, b)
-		case "<", "<=", ">", ">=", "=", "<>":
-			if (x.Op == "=" || x.Op == "<>") && ur.isBoolOperand(x.L) && ur.isBoolOperand(x.R) {
-				a, err := ur.encBool(x.L, t)
-				if err != nil {
-					return 0, err
-				}
-				b, err := ur.encBool(x.R, t)
-				if err != nil {
-					return 0, err
-				}
-				g, err := ur.boolGate("xor", a, b)
-				if err != nil {
-					return 0, err
-				}
-				if x.Op == "=" {
-					return -g, nil
-				}
-				return g, nil
-			}
-			l, err := ur.encNum(x.L, t)
-			if err != nil {
-				return 0, err
-			}
-			r, err := ur.encNum(x.R, t)
-			if err != nil {
-				return 0, err
-			}
-			op := map[string]expr.CmpOp{
-				"<": expr.CmpLT, "<=": expr.CmpLE, ">": expr.CmpGT,
-				">=": expr.CmpGE, "=": expr.CmpEQ, "<>": expr.CmpNE,
-			}[x.Op]
-			return ur.sess.Bind(expr.NewAtom(l, op, r, ur.domainOf(l, r)))
-		}
-		return 0, fmt.Errorf("mc: operator %q is not Boolean", x.Op)
-	case lustre.Ite:
-		c, err := ur.encBool(x.Cond, t)
-		if err != nil {
-			return 0, err
-		}
-		a, err := ur.encBool(x.Then, t)
-		if err != nil {
-			return 0, err
-		}
-		b, err := ur.encBool(x.Else, t)
-		if err != nil {
-			return 0, err
-		}
-		return ur.boolIte(c, a, b)
-	}
-	return 0, fmt.Errorf("mc: expression %T is not Boolean", e)
-}
-
-// boolGate Tseitin-encodes g ↔ (a op b) and returns g.
-func (ur *unroller) boolGate(op string, a, b int) (int, error) {
+// Gate Tseitin-encodes g ↔ (a op b) and returns g.
+func (ur *unroller) Gate(op string, a, b int) (int, error) {
 	g := ur.sess.NewVar()
 	var clauses [][]int
 	switch op {
@@ -350,174 +72,59 @@ func (ur *unroller) boolGate(op string, a, b int) (int, error) {
 		clauses = [][]int{{g, -a}, {g, -b}, {-g, a, b}}
 	case "xor":
 		clauses = [][]int{{-g, a, b}, {-g, -a, -b}, {g, -a, b}, {g, a, -b}}
-	case "=>":
+	default: // "=>"
 		clauses = [][]int{{g, a}, {g, -b}, {-g, -a, b}}
-	default:
-		return 0, fmt.Errorf("mc: unknown gate %q", op)
 	}
+	return g, ur.assert(clauses)
+}
+
+// Ite Tseitin-encodes g ↔ if c then a else b and returns g.
+func (ur *unroller) Ite(c, a, b int) (int, error) {
+	g := ur.sess.NewVar()
+	return g, ur.assert([][]int{{-g, -c, a}, {-g, c, b}, {g, -c, -a}, {g, c, -b}})
+}
+
+func (ur *unroller) assert(clauses [][]int) error {
 	for _, cl := range clauses {
 		if err := ur.sess.AssertClause(cl...); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	return g, nil
+	return nil
 }
 
-// boolIte Tseitin-encodes g ↔ if c then a else b and returns g.
-func (ur *unroller) boolIte(c, a, b int) (int, error) {
-	g := ur.sess.NewVar()
-	for _, cl := range [][]int{
-		{-g, -c, a}, {-g, c, b}, {g, -c, -a}, {g, c, -b},
-	} {
-		if err := ur.sess.AssertClause(cl...); err != nil {
-			return 0, err
+func (ur *unroller) Atom(a expr.Atom) (int, error) { return ur.sess.Bind(a) }
+
+func (ur *unroller) BoolInput(string, int) int { return ur.sess.NewVar() }
+
+// NumInput returns the variable name@t, within the input's bounds.
+func (ur *unroller) NumInput(name string, t int) (expr.Expr, error) {
+	vn := stepVar(name, t)
+	ty, _ := ur.Type(name)
+	v := ur.Var(vn, ty == lustre.TInt)
+	if b, ok := ur.bounds[name]; ok {
+		if err := ur.sess.SetBounds(vn, b[0], b[1]); err != nil {
+			return nil, err
 		}
 	}
-	return g, nil
+	return v, nil
 }
 
-func (ur *unroller) isBoolOperand(e lustre.Expr) bool {
-	switch x := e.(type) {
-	case lustre.BoolLit:
-		return true
-	case lustre.Ref:
-		return ur.types[x.Name] == lustre.TBool
-	case lustre.Unary:
-		if x.Op == "pre" {
-			return ur.isBoolOperand(x.X)
-		}
-		return x.Op == "not"
-	case lustre.Binary:
-		switch x.Op {
-		case "and", "or", "xor", "=>", "<", "<=", ">", ">=":
-			return true
-		case "->":
-			return ur.isBoolOperand(x.R)
-		}
-	case lustre.Ite:
-		return ur.isBoolOperand(x.Then)
+// NumFlow returns the variable name@t and asserts name@t = e.
+func (ur *unroller) NumFlow(name string, t int, e expr.Expr) (expr.Expr, error) {
+	ty, _ := ur.Type(name)
+	v := ur.Var(stepVar(name, t), ty == lustre.TInt)
+	if _, err := ur.sess.Assert(expr.NewAtom(v, expr.CmpEQ, e, ur.Domain(v, e))); err != nil {
+		return nil, err
 	}
-	return false
+	return v, nil
 }
 
-// encNum encodes a numeric expression at instant t.
-func (ur *unroller) encNum(e lustre.Expr, t int) (expr.Expr, error) {
-	switch x := e.(type) {
-	case lustre.Num:
-		return expr.C(x.V), nil
-	case lustre.Ref:
-		if ty, ok := ur.types[x.Name]; ok && ty == lustre.TBool {
-			return nil, fmt.Errorf("mc: %s used numerically but declared bool", x.Name)
-		}
-		return ur.numFlow(x.Name, t)
-	case lustre.Unary:
-		switch x.Op {
-		case "-":
-			inner, err := ur.encNum(x.X, t)
-			if err != nil {
-				return nil, err
-			}
-			return expr.Neg{X: inner}, nil
-		case "pre":
-			if t > 0 {
-				return ur.encNum(x.X, t-1)
-			}
-			key := lustre.FormatExpr(x.X)
-			if v, ok := ur.preN[key]; ok {
-				return v, nil
-			}
-			ur.auxSeq++
-			vn := fmt.Sprintf("pre$%d", ur.auxSeq)
-			v := expr.V(vn)
-			ur.varInt[vn] = ur.numIsInt(x.X)
-			ur.preN[key] = v
-			// Pin the evaluator's default initial pre-value under vInit.
-			zero, err := ur.sess.Bind(expr.NewAtom(v, expr.CmpEQ, expr.C(0), ur.domainOf(v)))
-			if err != nil {
-				return nil, err
-			}
-			if err := ur.sess.AssertClause(-ur.vInit, zero); err != nil {
-				return nil, err
-			}
-			return v, nil
-		}
-		return nil, fmt.Errorf("mc: unary %q is not numeric", x.Op)
-	case lustre.Binary:
-		if x.Op == "->" {
-			if t > 0 {
-				return ur.encNum(x.R, t)
-			}
-			init, err := ur.encNum(x.L, 0)
-			if err != nil {
-				return nil, err
-			}
-			step, err := ur.encNum(x.R, 0)
-			if err != nil {
-				return nil, err
-			}
-			return ur.numIte(ur.vInit, init, step, t)
-		}
-		var op expr.Op
-		switch x.Op {
-		case "+":
-			op = expr.OpAdd
-		case "-":
-			op = expr.OpSub
-		case "*":
-			op = expr.OpMul
-		case "/":
-			op = expr.OpDiv
-		default:
-			return nil, fmt.Errorf("mc: operator %q is not numeric", x.Op)
-		}
-		l, err := ur.encNum(x.L, t)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ur.encNum(x.R, t)
-		if err != nil {
-			return nil, err
-		}
-		return expr.Bin{Op: op, L: l, R: r}, nil
-	case lustre.Ite:
-		c, err := ur.encBool(x.Cond, t)
-		if err != nil {
-			return nil, err
-		}
-		a, err := ur.encNum(x.Then, t)
-		if err != nil {
-			return nil, err
-		}
-		b, err := ur.encNum(x.Else, t)
-		if err != nil {
-			return nil, err
-		}
-		return ur.numIte(c, a, b, t)
-	case lustre.Call:
-		arg, err := ur.encNum(x.Arg, t)
-		if err != nil {
-			return nil, err
-		}
-		fn, ok := map[string]expr.Func{
-			"sin": expr.FuncSin, "cos": expr.FuncCos, "exp": expr.FuncExp,
-			"log": expr.FuncLog, "sqrt": expr.FuncSqrt, "abs": expr.FuncAbs,
-		}[x.Fn]
-		if !ok {
-			return nil, fmt.Errorf("mc: unknown function %q", x.Fn)
-		}
-		return expr.Call{Fn: fn, Arg: arg}, nil
-	}
-	return nil, fmt.Errorf("mc: expression %T is not numeric", e)
-}
-
-// numIte introduces an auxiliary variable v with the guarded definition
+// NumIte introduces an auxiliary variable v with the guarded definition
 // (c → v = a) ∧ (¬c → v = b).
-func (ur *unroller) numIte(c int, a, b expr.Expr, t int) (expr.Expr, error) {
+func (ur *unroller) NumIte(c int, a, b expr.Expr, dom expr.Domain, t int) (expr.Expr, error) {
 	ur.auxSeq++
-	vn := fmt.Sprintf("ite$%d@%d", ur.auxSeq, t)
-	v := expr.V(vn)
-	dom := ur.domainOf(a, b)
-	ur.varInt[vn] = dom == expr.Int
+	v := ur.Var(fmt.Sprintf("ite$%d@%d", ur.auxSeq, t), dom == expr.Int)
 	la, err := ur.sess.Bind(expr.NewAtom(v, expr.CmpEQ, a, dom))
 	if err != nil {
 		return nil, err
@@ -526,45 +133,26 @@ func (ur *unroller) numIte(c int, a, b expr.Expr, t int) (expr.Expr, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := ur.sess.AssertClause(-c, la); err != nil {
-		return nil, err
-	}
-	if err := ur.sess.AssertClause(c, lb); err != nil {
-		return nil, err
-	}
-	return v, nil
+	return v, ur.assert([][]int{{-c, la}, {c, lb}})
 }
 
-// numIsInt reports whether a numeric Lustre expression is integer-typed
-// (every referenced flow declared int).
-func (ur *unroller) numIsInt(e lustre.Expr) bool {
-	switch x := e.(type) {
-	case lustre.Num:
-		return x.V == math.Trunc(x.V)
-	case lustre.Ref:
-		return ur.types[x.Name] == lustre.TInt
-	case lustre.Unary:
-		return ur.numIsInt(x.X)
-	case lustre.Binary:
-		if x.Op == "/" {
-			return false
-		}
-		return ur.numIsInt(x.L) && ur.numIsInt(x.R)
-	case lustre.Ite:
-		return ur.numIsInt(x.Then) && ur.numIsInt(x.Else)
-	}
-	return false
+func (ur *unroller) Init() (int, error) { return ur.vInit, nil }
+
+// PreBool is a free literal, pinned to the evaluator's initial pre-value
+// false under vInit so base-case traces replay exactly.
+func (ur *unroller) PreBool() (int, error) {
+	l := ur.sess.NewVar()
+	return l, ur.sess.AssertClause(-ur.vInit, -l)
 }
 
-// domainOf mirrors the combinational extractor: Int when every variable of
-// the expressions is integer-typed, Real otherwise.
-func (ur *unroller) domainOf(es ...expr.Expr) expr.Domain {
-	for _, e := range es {
-		for _, v := range expr.Vars(e) {
-			if !ur.varInt[v] {
-				return expr.Real
-			}
-		}
+// PreNum is a free variable, pinned to the evaluator's initial pre-value
+// 0 under vInit.
+func (ur *unroller) PreNum(isInt bool) (expr.Expr, error) {
+	ur.auxSeq++
+	v := ur.Var(fmt.Sprintf("pre$%d", ur.auxSeq), isInt)
+	zero, err := ur.sess.Bind(expr.NewAtom(v, expr.CmpEQ, expr.C(0), ur.Domain(v)))
+	if err != nil {
+		return nil, err
 	}
-	return expr.Int
+	return v, ur.sess.AssertClause(-ur.vInit, zero)
 }
