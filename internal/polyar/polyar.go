@@ -273,6 +273,9 @@ func (s *solver) process(ctx context.Context, box expr.Box) outcome {
 	rx := buildRelaxation(s.atoms, box, s.ints)
 	rx.prob.MaxIter = lpMaxIter
 	res := rx.prob.SolveContext(ctx)
+	if regionHook != nil {
+		regionHook(rx, res)
+	}
 	switch res.Status {
 	case lp.Infeasible:
 		s.pruned.Add(1)
@@ -311,6 +314,10 @@ func (s *solver) process(ctx context.Context, box expr.Box) outcome {
 	right[v] = hi
 	return outcome{children: []expr.Box{left, right}}
 }
+
+// regionHook, when set (by tests only), observes every region LP after
+// it is solved.
+var regionHook func(rx *relaxation, res lp.Result)
 
 // snapIntegral tightens integer variables to integral bounds in place;
 // false means some integer interval emptied (no integral point).
