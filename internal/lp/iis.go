@@ -20,8 +20,8 @@ func (p *Problem) IIS() []int {
 // checks ctx between removal tests and returns nil once it is cancelled
 // (callers treat a nil IIS as "could not minimise").
 func (p *Problem) IISContext(ctx context.Context) []int {
-	s := compileRows(p.Constraints, p.Lower, p.Upper)
-	if s.propagate(nil) && p.SolveContext(ctx).Status != Infeasible {
+	s := p.compile()
+	if s.propagate(nil) && solveRows(ctx, s, nil, p.MaxIter).Status != Infeasible {
 		return nil
 	}
 	return p.deletionFilter(ctx, s)
@@ -29,7 +29,13 @@ func (p *Problem) IISContext(ctx context.Context) []int {
 
 // deletionFilter is IISContext's deletion filter over the compiled rows s
 // of an infeasible p; the caller has already proved the infeasibility.
-func (p *Problem) deletionFilter(ctx context.Context, s *rowSet) []int {
+// A subset is solved over the bounds alone: no objective, and no column
+// for an integer-marked variable that no remaining row or bound names.
+func (p *Problem) deletionFilter(ctx context.Context, s *Rows) []int {
+	sub := *s
+	sub.keep, sub.obj, sub.minimise = nil, nil, false
+	t := tableaus.Get().(*tableau)
+	defer tableaus.Put(t)
 	active := allActive(len(p.Constraints))
 	for i := range p.Constraints {
 		if ctx.Err() != nil {
@@ -38,7 +44,7 @@ func (p *Problem) deletionFilter(ctx context.Context, s *rowSet) []int {
 		active[i] = false
 		// Bound propagation is a cheap sound oracle; only subsets it
 		// cannot refute pay for a simplex run.
-		if s.propagate(active) && p.solveRowsContext(ctx, p.activeRows(active)).Status != Infeasible {
+		if s.propagate(active) && t.solve(ctx, &sub, active, p.MaxIter) != Infeasible {
 			active[i] = true // i is needed for infeasibility
 		}
 	}
@@ -52,10 +58,10 @@ func (p *Problem) deletionFilter(ctx context.Context, s *rowSet) []int {
 // leave propagation inconclusive are kept even if a simplex run could
 // discard them. Returns nil when propagation cannot refute the full set.
 func (p *Problem) IISByPropagation() []int {
-	return compileRows(p.Constraints, p.Lower, p.Upper).iisByPropagation()
+	return p.compile().iisByPropagation()
 }
 
-func (s *rowSet) iisByPropagation() []int {
+func (s *Rows) iisByPropagation() []int {
 	if s.propagate(nil) {
 		return nil
 	}
@@ -84,7 +90,7 @@ func (s *rowSet) iisByPropagation() []int {
 // integrality-driven (the relaxation is feasible, so no row subset of the
 // relaxation conflicts).
 func (p *Problem) CheckContext(ctx context.Context, maxNodes int) (Result, []int) {
-	s := compileRows(p.Constraints, p.Lower, p.Upper)
+	s := p.compile()
 	if iis := s.iisByPropagation(); iis != nil {
 		return Result{Status: Infeasible}, iis
 	}
@@ -92,7 +98,7 @@ func (p *Problem) CheckContext(ctx context.Context, maxNodes int) (Result, []int
 	if len(p.Integer) > 0 {
 		res = p.SolveMIPContext(ctx, maxNodes).Result
 	} else {
-		res = p.SolveContext(ctx)
+		res = solveRows(ctx, s, nil, p.MaxIter)
 	}
 	if res.Status != Infeasible {
 		return res, nil
@@ -100,7 +106,7 @@ func (p *Problem) CheckContext(ctx context.Context, maxNodes int) (Result, []int
 	// Propagation is known inconclusive here; without integer variables
 	// the simplex run above is exactly IISContext's proof. With them,
 	// the relaxation still has to be shown infeasible.
-	if len(p.Integer) > 0 && p.SolveContext(ctx).Status != Infeasible {
+	if len(p.Integer) > 0 && solveRows(ctx, s, nil, p.MaxIter).Status != Infeasible {
 		return res, nil
 	}
 	return res, p.deletionFilter(ctx, s)
@@ -122,24 +128,4 @@ func activeIndices(active []bool) []int {
 		}
 	}
 	return out
-}
-
-func (p *Problem) activeRows(active []bool) []Constraint {
-	rows := make([]Constraint, 0, len(p.Constraints))
-	for i, c := range p.Constraints {
-		if active[i] {
-			rows = append(rows, c)
-		}
-	}
-	return rows
-}
-
-// solveRowsContext solves the problem with a replacement row set.
-func (p *Problem) solveRowsContext(ctx context.Context, rows []Constraint) Result {
-	q := NewProblem()
-	q.Constraints = rows
-	q.Lower = p.Lower
-	q.Upper = p.Upper
-	q.MaxIter = p.MaxIter
-	return q.SolveContext(ctx)
 }

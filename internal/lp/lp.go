@@ -290,24 +290,7 @@ func (p *Problem) Solve() Result {
 // SolveContext is Solve with cooperative cancellation: the simplex polls
 // ctx between pivots and returns Status Canceled once it is done.
 func (p *Problem) SolveContext(ctx context.Context) Result {
-	ps := presolve(p)
-	if ps.status == Infeasible {
-		return Result{Status: Infeasible}
-	}
-	q := &Problem{
-		Constraints: ps.rows,
-		Objective:   p.Objective,
-		Lower:       ps.lower,
-		Upper:       ps.upper,
-		Integer:     p.Integer,
-		MaxIter:     p.MaxIter,
-	}
-	// Variables absorbed entirely into bounds keep their columns: the
-	// presolve wrote their bounds into q, and the tableau's variable set
-	// includes every bounded variable.
-	t := newTableau(q)
-	t.ctx = ctx
-	return t.run()
+	return solveRows(ctx, p.compile(), nil, p.MaxIter)
 }
 
 // Verify reports whether x satisfies every constraint and bound of p

@@ -2,52 +2,29 @@ package lp
 
 import "math"
 
-// presolved is the outcome of the unit-row presolve.
-type presolved struct {
-	status Status // Feasible (meaning: not yet decided) or Infeasible
-	rows   []Constraint
-	lower  map[string]float64
-	upper  map[string]float64
-}
-
-// presolve absorbs single-variable rows into variable bounds. On the
-// conjunction-heavy systems the SMT engine produces, most rows are unit
-// (x ≤ A, x = 0, lock = i, …); folding them into bounds shrinks the
-// simplex tableau by an order of magnitude. Bound crossings are detected
-// immediately as infeasibility. Constant rows (no variables) are decided
-// in place.
-func presolve(p *Problem) presolved {
-	lower := make(map[string]float64, len(p.Lower))
-	upper := make(map[string]float64, len(p.Upper))
-	for v, b := range p.Lower {
-		lower[v] = b
-	}
-	for v, b := range p.Upper {
-		upper[v] = b
-	}
-	tightenLo := func(v string, b float64) {
-		if cur, ok := lower[v]; !ok || b > cur {
-			lower[v] = b
+// presolve absorbs the active single-variable rows of r into variable
+// bounds. On the conjunction-heavy systems the SMT engine produces, most
+// rows are unit (x ≤ A, x = 0, lock = i, …); folding them into bounds
+// shrinks the simplex tableau by an order of magnitude. Bound crossings
+// are detected immediately as infeasibility. Constant rows (no variables)
+// are decided in place.
+//
+// It leaves the tightened bounds in t.lo/t.hi (presence in t.hasLo/
+// t.hasHi) and the indexes of the residual multi-variable rows in t.live,
+// and reports false when the rows are infeasible.
+func (t *tableau) presolve(r *Rows, active []bool) bool {
+	n := len(r.lo0)
+	t.lo = append(t.lo[:0], r.lo0...)
+	t.hi = append(t.hi[:0], r.hi0...)
+	t.hasLo = append(t.hasLo[:0], r.hasLo...)
+	t.hasHi = append(t.hasHi[:0], r.hasHi...)
+	t.live = t.live[:0]
+	for i := range r.rows {
+		if active != nil && !active[i] {
+			continue
 		}
-	}
-	tightenHi := func(v string, b float64) {
-		if cur, ok := upper[v]; !ok || b < cur {
-			upper[v] = b
-		}
-	}
-	var rows []Constraint
-	for _, c := range p.Constraints {
-		// Count nonzero coefficients.
-		var name string
-		var coeff float64
-		n := 0
-		for v, a := range c.Coeffs {
-			if a != 0 {
-				n++
-				name, coeff = v, a
-			}
-		}
-		switch n {
+		c := &r.rows[i]
+		switch len(c.Terms) {
 		case 0:
 			ok := true
 			switch c.Rel {
@@ -59,9 +36,10 @@ func presolve(p *Problem) presolved {
 				ok = math.Abs(c.RHS) <= FeasTol
 			}
 			if !ok {
-				return presolved{status: Infeasible}
+				return false
 			}
 		case 1:
+			j, coeff := c.Terms[0].Var, c.Terms[0].Coeff
 			b := c.RHS / coeff
 			rel := c.Rel
 			if coeff < 0 {
@@ -72,24 +50,20 @@ func presolve(p *Problem) presolved {
 					rel = LE
 				}
 			}
-			switch rel {
-			case LE:
-				tightenHi(name, b)
-			case GE:
-				tightenLo(name, b)
-			case EQ:
-				tightenLo(name, b)
-				tightenHi(name, b)
+			if rel != LE && (!t.hasLo[j] || b > t.lo[j]) {
+				t.lo[j], t.hasLo[j] = b, true
+			}
+			if rel != GE && (!t.hasHi[j] || b < t.hi[j]) {
+				t.hi[j], t.hasHi[j] = b, true
 			}
 		default:
-			rows = append(rows, c)
+			t.live = append(t.live, i)
 		}
 	}
-	for v, lo := range lower {
-		if hi, ok := upper[v]; ok && lo > hi+FeasTol {
-			_ = v
-			return presolved{status: Infeasible}
+	for j := 0; j < n; j++ {
+		if t.hasLo[j] && t.hasHi[j] && t.lo[j] > t.hi[j]+FeasTol {
+			return false
 		}
 	}
-	return presolved{status: Feasible, rows: rows, lower: lower, upper: upper}
+	return true
 }

@@ -202,13 +202,13 @@ func TestQuickCompiledPropagationMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomPropagationProblem(rng)
-		s := compileRows(p.Constraints, p.Lower, p.Upper)
+		s := p.compile()
 		want, refLo, refHi := refPropagateBounds(p.Constraints, p.Lower, p.Upper, propagationRounds)
 		if got := s.propagate(nil); got != want {
 			t.Logf("seed %d: propagate = %v, reference %v", seed, got, want)
 			return false
 		}
-		for j, v := range s.vars {
+		for j, v := range s.names {
 			wl, wh := math.Inf(-1), math.Inf(1)
 			if b, ok := refLo[v]; ok {
 				wl = b
@@ -253,4 +253,26 @@ func TestQuickCompiledPropagationMatchesReference(t *testing.T) {
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// activeRows and solveRowsContext are the subset solve as it ran before
+// the deletion filter solved over compiled rows: a fresh Problem from the
+// active rows and the bounds alone.
+func (p *Problem) activeRows(active []bool) []Constraint {
+	rows := make([]Constraint, 0, len(p.Constraints))
+	for i, c := range p.Constraints {
+		if active[i] {
+			rows = append(rows, c)
+		}
+	}
+	return rows
+}
+
+func (p *Problem) solveRowsContext(ctx context.Context, rows []Constraint) Result {
+	q := NewProblem()
+	q.Constraints = rows
+	q.Lower = p.Lower
+	q.Upper = p.Upper
+	q.MaxIter = p.MaxIter
+	return q.SolveContext(ctx)
 }

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -157,7 +158,7 @@ func TestQuickPresolveEquivalence(t *testing.T) {
 		}
 		got := p.Solve().Status
 		// Direct tableau (no presolve).
-		direct := newTableau(p).run().Status
+		direct := solveWithoutPresolve(p)
 		if got == IterLimit || direct == IterLimit {
 			return true
 		}
@@ -166,6 +167,24 @@ func TestQuickPresolveEquivalence(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// solveWithoutPresolve runs the tableau over every row of p, unit and
+// constant rows included.
+func solveWithoutPresolve(p *Problem) Status {
+	r := p.compile()
+	t := &tableau{r: r, ctx: context.Background()}
+	t.has = make([]bool, len(r.lo0))
+	t.x = make([]float64, len(r.lo0))
+	t.lo = append(t.lo, r.lo0...)
+	t.hi = append(t.hi, r.hi0...)
+	t.hasLo = append(t.hasLo, r.hasLo...)
+	t.hasHi = append(t.hasHi, r.hasHi...)
+	for i := range r.rows {
+		t.live = append(t.live, i)
+	}
+	t.build(p.MaxIter)
+	return t.run()
 }
 
 // TestQuickMIPRespectsIntegrality: SolveMIP returns integral values for

@@ -3,7 +3,7 @@ package lp
 import (
 	"context"
 	"math"
-	"sort"
+	"sync"
 )
 
 // cancelPollEvery is the pivot cadence of cooperative cancellation checks:
@@ -30,22 +30,85 @@ const (
 
 type column struct {
 	kind  colKind
-	v     string  // problem variable (colShifted/colNegated/colPlus/colMinus)
+	v     int     // variable index (colShifted/colNegated/colPlus/colMinus)
 	shift float64 // see kind
 }
 
-// tableau is a dense two-phase primal simplex tableau.
-type tableau struct {
-	p    *Problem
-	vars []string // p.Vars(), computed once
+// Simplex is a reusable dense two-phase primal simplex. Its buffers (the
+// dense slab, the right-hand side, the basis, both cost rows and the pivot
+// scratch) grow to the largest problem solved and are reused by the next
+// Solve, so a caller solving many LPs of similar size (a PolyAR worker, one
+// region after another) allocates nothing per LP. A Simplex is not safe
+// for concurrent use.
+type Simplex struct{ t tableau }
 
+// Solve decides r, minimising its objective if it has one, after the
+// presolve that folds unit rows into bounds. maxIter bounds pivots per
+// phase; 0 means a default scaled to the problem. The context is polled
+// between pivots.
+func (s *Simplex) Solve(ctx context.Context, r *Rows, maxIter int) Status {
+	return s.t.solve(ctx, r, nil, maxIter)
+}
+
+// Pivots is the number of pivots the last Solve performed.
+func (s *Simplex) Pivots() int { return s.t.pivots }
+
+// Value returns variable j's value after a Feasible Solve, and whether the
+// variable had a column (a variable with no bound, no live row and no
+// objective term has none).
+func (s *Simplex) Value(j int) (float64, bool) { return s.t.x[j], s.t.has[j] }
+
+// tableaus recycles the tableaus of Problem solves across calls.
+var tableaus = sync.Pool{New: func() any { return new(tableau) }}
+
+// solveRows solves the active rows of r (all when active is nil) with a
+// pooled tableau and maps the outcome back to names.
+func solveRows(ctx context.Context, r *Rows, active []bool, maxIter int) Result {
+	t := tableaus.Get().(*tableau)
+	defer tableaus.Put(t)
+	res := Result{Status: t.solve(ctx, r, active, maxIter), Pivots: t.pivots}
+	if res.Status != Feasible {
+		return res
+	}
+	res.X = make(map[string]float64, len(t.cols))
+	for j, v := range r.names {
+		if t.has[j] {
+			res.X[v] = t.x[j]
+		}
+	}
+	for _, e := range r.obj {
+		res.Objective += e.Coeff * t.x[e.Var]
+	}
+	return res
+}
+
+// tableau is a dense two-phase primal simplex tableau over one Rows.
+type tableau struct {
+	r *Rows
+
+	// Presolve output: tightened bounds and the residual row indexes.
+	lo, hi       []float64
+	hasLo, hasHi []bool
+	live         []int
+
+	has   []bool // variable has a column
+	colOf []int  // variable → its column; a free variable's negative part is the next
 	cols  []column
+
+	std     []stdRow
+	stdTerm []stdTerm
+
+	dense []float64   // m × n slab behind rows
 	rows  [][]float64 // m × n coefficient matrix
 	rhs   []float64   // length m, kept ≥ 0 by construction
 	basis []int       // basic column per row
 
 	cost  []float64 // phase-2 reduced costs (real objective)
 	wcost []float64 // phase-1 reduced costs (artificial objective)
+
+	support []int     // nonzero columns of the pivot row
+	val     []float64 // column values at extraction
+	x       []float64 // variable values after a Feasible solve
 
 	pivots  int
 	maxIter int
@@ -57,198 +120,226 @@ type tableau struct {
 	ctx context.Context
 }
 
-// newTableau converts p to standard form.
-func newTableau(p *Problem) *tableau {
-	vars := p.Vars()
-	t := &tableau{p: p, vars: vars}
-	t.maxIter = p.MaxIter
-	if t.maxIter == 0 {
-		t.maxIter = 20000 + 200*(len(p.Constraints)+len(vars))
+// stdRow is a standard-form row before the width of the tableau is known:
+// its entries are stdTerm[start:end] and b is its shifted RHS.
+type stdRow struct {
+	start, end int
+	rel        Rel
+	b          float64
+	slack, art int  // column index or -1
+	neg        bool // the row was negated to make b ≥ 0
+}
+
+type stdTerm struct {
+	col int
+	a   float64
+}
+
+// solve presolves the active rows of r (all when active is nil), builds
+// the tableau and runs both phases.
+func (t *tableau) solve(ctx context.Context, r *Rows, active []bool, maxIter int) Status {
+	t.r, t.ctx, t.pivots = r, ctx, 0
+	t.has = resize(t.has, len(r.lo0))
+	t.x = resize(t.x, len(r.lo0))
+	if !t.presolve(r, active) {
+		clear(t.has)
+		return Infeasible
 	}
+	t.build(maxIter)
+	return t.run()
+}
 
-	// colOf maps a variable to its column; a free variable's negative
-	// part is the column after it.
-	colOf := make(map[string]int, len(vars))
-
-	// Variable columns.
-	for _, v := range vars {
-		colOf[v] = len(t.cols)
-		if lo, hasLo := p.Lower[v]; hasLo {
+// build converts the presolved rows to standard form. The layout is
+// fixed: variable columns in variable order (a lower-bounded variable
+// shifted, an upper-bounded-only one negated, a free one split), the live
+// rows in order, then one row per doubly-bounded variable's upper bound,
+// then the slack and artificial columns row by row.
+func (t *tableau) build(maxIter int) {
+	r := t.r
+	n := len(r.lo0)
+	clear(t.has)
+	for j := 0; j < n; j++ {
+		t.has[j] = t.hasLo[j] || t.hasHi[j] || (r.keep != nil && r.keep[j])
+	}
+	for _, i := range t.live {
+		for _, e := range r.rows[i].Terms {
+			t.has[e.Var] = true
+		}
+		for _, j := range r.rows[i].zeros {
+			t.has[j] = true
+		}
+	}
+	nVars := 0
+	t.colOf = resize(t.colOf, n)
+	t.cols = t.cols[:0]
+	for j := 0; j < n; j++ {
+		if !t.has[j] {
+			continue
+		}
+		nVars++
+		t.colOf[j] = len(t.cols)
+		if t.hasLo[j] {
 			// An upper bound too becomes a row below.
-			t.cols = append(t.cols, column{kind: colShifted, v: v, shift: lo})
-		} else if hi, hasHi := p.Upper[v]; hasHi {
-			t.cols = append(t.cols, column{kind: colNegated, v: v, shift: hi})
+			t.cols = append(t.cols, column{kind: colShifted, v: j, shift: t.lo[j]})
+		} else if t.hasHi[j] {
+			t.cols = append(t.cols, column{kind: colNegated, v: j, shift: t.hi[j]})
 		} else {
-			t.cols = append(t.cols, column{kind: colPlus, v: v}, column{kind: colMinus, v: v})
+			t.cols = append(t.cols, column{kind: colPlus, v: j}, column{kind: colMinus, v: j})
 		}
 	}
 	nVarCols := len(t.cols)
+	t.maxIter = maxIter
+	if t.maxIter == 0 {
+		t.maxIter = 20000 + 200*(len(t.live)+nVars)
+	}
 
-	// Problem-space rows become standard-form rows over the variable
-	// columns, kept sparse until the width of the tableau is known: each
-	// row's entries are terms[start:end], and b is its shifted RHS.
-	type entry struct {
-		col int
-		a   float64
-	}
-	type stdRow struct {
-		start, end int
-		rel        Rel
-		b          float64
-	}
-	var terms []entry
-	var rows []stdRow
-	// addTerm appends c·v to the row being built and returns its RHS b
+	// addTerm appends c·x[j] to the row being built and returns its RHS b
 	// moved across by the column's shift.
-	addTerm := func(v string, c, b float64) float64 {
-		j := colOf[v]
-		col := t.cols[j]
+	t.stdTerm = t.stdTerm[:0]
+	addTerm := func(j int, c, b float64) float64 {
+		k := t.colOf[j]
+		col := t.cols[k]
 		switch col.kind {
 		case colShifted:
-			terms = append(terms, entry{j, c})
+			t.stdTerm = append(t.stdTerm, stdTerm{k, c})
 			b -= c * col.shift
 		case colNegated:
-			terms = append(terms, entry{j, -c})
+			t.stdTerm = append(t.stdTerm, stdTerm{k, -c})
 			b -= c * col.shift
 		case colPlus:
-			terms = append(terms, entry{j, c}, entry{j + 1, -c})
+			t.stdTerm = append(t.stdTerm, stdTerm{k, c}, stdTerm{k + 1, -c})
 		}
 		return b
 	}
-	var names []string
-	for _, c := range p.Constraints {
-		// Sorted iteration: the b -= c*shift accumulation is a
-		// floating-point sum, and map order would make the tableau RHS
-		// (hence pivots and the witness) vary between runs.
-		names = names[:0]
-		for v := range c.Coeffs {
-			names = append(names, v)
+	t.std = t.std[:0]
+	for _, i := range t.live {
+		c := &r.rows[i]
+		// Terms are in variable order: the b -= c*shift accumulation is a
+		// floating-point sum, so its order fixes the tableau RHS (hence
+		// pivots and the witness).
+		s := stdRow{start: len(t.stdTerm), rel: c.Rel, b: c.RHS}
+		for _, e := range c.Terms {
+			s.b = addTerm(e.Var, e.Coeff, s.b)
 		}
-		sort.Strings(names)
-		r := stdRow{start: len(terms), rel: c.Rel, b: c.RHS}
-		for _, v := range names {
-			if a := c.Coeffs[v]; a != 0 {
-				r.b = addTerm(v, a, r.b)
-			}
-		}
-		r.end = len(terms)
-		rows = append(rows, r)
+		s.end = len(t.stdTerm)
+		t.std = append(t.std, s)
 	}
 	// Upper bounds of doubly-bounded variables become rows.
-	for _, v := range vars {
-		_, hasLo := p.Lower[v]
-		hi, hasHi := p.Upper[v]
-		if hasLo && hasHi {
-			r := stdRow{start: len(terms), rel: LE}
-			r.b = addTerm(v, 1, hi)
-			r.end = len(terms)
-			rows = append(rows, r)
+	for j := 0; j < n; j++ {
+		if t.has[j] && t.hasLo[j] && t.hasHi[j] {
+			s := stdRow{start: len(t.stdTerm), rel: LE}
+			s.b = addTerm(j, 1, t.hi[j])
+			s.end = len(t.stdTerm)
+			t.std = append(t.std, s)
 		}
 	}
 
 	// Normalise to b ≥ 0 and append slack/artificial columns.
-	m := len(rows)
-	t.rows = make([][]float64, m)
-	t.rhs = make([]float64, m)
-	t.basis = make([]int, m)
-	type pending struct {
-		slack int // column index or -1
-		art   int
-		neg   bool // the row was negated to make b ≥ 0
-	}
-	pend := make([]pending, m)
-	for i, r := range rows {
-		pend[i] = pending{slack: -1, art: -1}
-		if r.b < 0 {
-			pend[i].neg = true
-			rows[i].b = -r.b
-			switch r.rel {
+	m := len(t.std)
+	t.nArtificial = 0
+	for i := range t.std {
+		s := &t.std[i]
+		s.slack, s.art, s.neg = -1, -1, false
+		if s.b < 0 {
+			s.neg = true
+			s.b = -s.b
+			switch s.rel {
 			case LE:
-				rows[i].rel = GE
+				s.rel = GE
 			case GE:
-				rows[i].rel = LE
+				s.rel = LE
 			}
 		}
-		switch rows[i].rel {
+		switch s.rel {
 		case LE:
-			pend[i].slack = t.appendCol(column{kind: colSlack})
+			s.slack = t.appendCol(column{kind: colSlack})
 		case GE:
-			pend[i].slack = t.appendCol(column{kind: colSlack}) // surplus, coefficient −1
-			pend[i].art = t.appendCol(column{kind: colArtificial})
+			s.slack = t.appendCol(column{kind: colSlack}) // surplus, coefficient −1
+			s.art = t.appendCol(column{kind: colArtificial})
 		case EQ:
-			pend[i].art = t.appendCol(column{kind: colArtificial})
+			s.art = t.appendCol(column{kind: colArtificial})
 		}
 	}
-	n := len(t.cols)
-	dense := make([]float64, m*n)
-	for i, r := range rows {
-		row := dense[i*n : (i+1)*n : (i+1)*n]
-		for _, e := range terms[r.start:r.end] {
+	nc := len(t.cols)
+	t.dense = resize(t.dense, m*nc)
+	clear(t.dense)
+	t.rows = resize(t.rows, m)
+	t.rhs = resize(t.rhs, m)
+	t.basis = resize(t.basis, m)
+	t.cost = resize(t.cost, nc)
+	t.wcost = resize(t.wcost, nc)
+	clear(t.cost)
+	for j, col := range t.cols {
+		t.wcost[j] = 0
+		if col.kind == colArtificial {
+			t.wcost[j] = 1
+		}
+	}
+	for i := range t.std {
+		s := &t.std[i]
+		row := t.dense[i*nc : (i+1)*nc : (i+1)*nc]
+		for _, e := range t.stdTerm[s.start:s.end] {
 			row[e.col] = e.a
 		}
-		if pend[i].neg {
+		if s.neg {
 			for j := 0; j < nVarCols; j++ {
 				row[j] = -row[j]
 			}
 		}
 		t.rows[i] = row
-		t.rhs[i] = r.b
-		switch r.rel {
+		t.rhs[i] = s.b
+		switch s.rel {
 		case LE:
-			row[pend[i].slack] = 1
-			t.basis[i] = pend[i].slack
+			row[s.slack] = 1
+			t.basis[i] = s.slack
 		case GE:
-			row[pend[i].slack] = -1
-			row[pend[i].art] = 1
-			t.basis[i] = pend[i].art
+			row[s.slack] = -1
+			row[s.art] = 1
+			t.basis[i] = s.art
 			t.nArtificial++
 		case EQ:
-			row[pend[i].art] = 1
-			t.basis[i] = pend[i].art
+			row[s.art] = 1
+			t.basis[i] = s.art
 			t.nArtificial++
 		}
 	}
 
 	// Phase-2 cost row: real objective (minimisation), mapped to columns.
-	t.cost = make([]float64, n)
-	if p.Objective != nil {
-		for v, c := range p.Objective {
-			j, ok := colOf[v]
-			if !ok {
-				continue
-			}
-			switch t.cols[j].kind {
-			case colShifted:
-				t.cost[j] += c
-			case colNegated:
-				t.cost[j] -= c
-			case colPlus:
-				t.cost[j] += c
-				t.cost[j+1] -= c
-			}
+	for _, e := range r.obj {
+		k := t.colOf[e.Var]
+		switch t.cols[k].kind {
+		case colShifted:
+			t.cost[k] += e.Coeff
+		case colNegated:
+			t.cost[k] -= e.Coeff
+		case colPlus:
+			t.cost[k] += e.Coeff
+			t.cost[k+1] -= e.Coeff
 		}
 	}
 
 	// Phase-1 cost row: sum of artificials, priced out over the initial
-	// basis (each artificial is basic, so subtract its row).
-	t.wcost = make([]float64, n)
-	for j, col := range t.cols {
-		if col.kind == colArtificial {
-			t.wcost[j] = 1
+	// basis (each artificial is basic, so subtract its row). A row's
+	// nonzeros are its terms, its slack and its artificial; subtracting
+	// only those leaves every other entry as the dense sweep would.
+	for i := range t.std {
+		s := &t.std[i]
+		if s.art < 0 {
+			continue
 		}
-	}
-	for i, bj := range t.basis {
-		if t.cols[bj].kind == colArtificial {
-			for j := range t.wcost {
-				t.wcost[j] -= t.rows[i][j]
-			}
+		row := t.rows[i]
+		for _, e := range t.stdTerm[s.start:s.end] {
+			t.wcost[e.col] -= row[e.col]
 		}
+		if s.slack >= 0 {
+			t.wcost[s.slack] -= row[s.slack]
+		}
+		t.wcost[s.art] -= row[s.art]
 	}
 	// The real cost row is already priced out over the initial basis: slack
 	// and artificial basics carry zero phase-2 cost, and every later pivot
 	// updates both cost rows. The objective value itself is recomputed from
-	// the extracted point in run(), so no constant term is tracked here.
-	return t
+	// the extracted point, so no constant term is tracked here.
 }
 
 func (t *tableau) appendCol(c column) int {
@@ -256,28 +347,36 @@ func (t *tableau) appendCol(c column) int {
 	return len(t.cols) - 1
 }
 
-// pivot performs a pivot on (row, col).
+// pivot performs a pivot on (row, col). Only the pivot row's nonzero
+// columns change in the other rows and the cost rows: every entry they
+// update gets the arithmetic of a dense sweep, and every other entry
+// would have had zero subtracted from it.
 func (t *tableau) pivot(row, col int) {
 	t.pivots++
-	piv := t.rows[row][col]
-	inv := 1 / piv
 	r := t.rows[row]
-	for j := range r {
-		r[j] *= inv
+	inv := 1 / r[col]
+	sup := t.support[:0]
+	for j, a := range r {
+		if a != 0 {
+			r[j] = a * inv
+			if j != col {
+				sup = append(sup, j)
+			}
+		}
 	}
+	t.support = sup
 	t.rhs[row] *= inv
 	r[col] = 1 // exact
 
-	for i := range t.rows {
+	for i, ri := range t.rows {
 		if i == row {
 			continue
 		}
-		f := t.rows[i][col]
+		f := ri[col]
 		if f == 0 {
 			continue
 		}
-		ri := t.rows[i]
-		for j := range ri {
+		for _, j := range sup {
 			ri[j] -= f * r[j]
 		}
 		ri[col] = 0
@@ -286,12 +385,12 @@ func (t *tableau) pivot(row, col int) {
 			t.rhs[i] = 0
 		}
 	}
-	for _, costRow := range [][]float64{t.cost, t.wcost} {
+	for _, costRow := range [2][]float64{t.cost, t.wcost} {
 		f := costRow[col]
 		if f == 0 {
 			continue
 		}
-		for j := range costRow {
+		for _, j := range sup {
 			costRow[j] -= f * r[j]
 		}
 		costRow[col] = 0
@@ -356,22 +455,20 @@ func (t *tableau) phase1Value() float64 {
 	return s
 }
 
-// run executes both phases and maps the solution back.
-func (t *tableau) run() Result {
-	res := Result{Status: Feasible}
-
+// run executes both phases and, when Feasible, leaves the point in t.x.
+func (t *tableau) run() Status {
 	if t.nArtificial > 0 {
 		st := t.phase(t.wcost, nil)
 		if st == IterLimit || st == Canceled {
-			return Result{Status: st, Pivots: t.pivots}
+			return st
 		}
 		if st == Unbounded {
 			// Phase-1 objective is bounded below by 0; unbounded signals a
 			// numerical breakdown. Treat as iteration limit.
-			return Result{Status: IterLimit, Pivots: t.pivots}
+			return IterLimit
 		}
 		if t.phase1Value() > 1e-6 {
-			return Result{Status: Infeasible, Pivots: t.pivots}
+			return Infeasible
 		}
 		// Drive remaining artificial basics (at zero) out where possible.
 		for i, bj := range t.basis {
@@ -391,54 +488,31 @@ func (t *tableau) run() Result {
 	}
 
 	banned := func(j int) bool { return t.cols[j].kind == colArtificial }
-	if t.p.Objective != nil {
-		st := t.phase(t.cost, banned)
-		switch st {
-		case IterLimit, Canceled:
-			return Result{Status: st, Pivots: t.pivots}
-		case Unbounded:
-			return Result{Status: Unbounded, Pivots: t.pivots}
+	if t.r.minimise {
+		switch st := t.phase(t.cost, banned); st {
+		case IterLimit, Canceled, Unbounded:
+			return st
 		}
 	}
 
 	// Extract variable values.
-	val := make([]float64, len(t.cols))
+	t.val = resize(t.val, len(t.cols))
+	clear(t.val)
 	for i, bj := range t.basis {
-		val[bj] = t.rhs[i]
+		t.val[bj] = t.rhs[i]
 	}
-	x := make(map[string]float64)
 	for j, col := range t.cols {
 		switch col.kind {
 		case colShifted:
-			x[col.v] = val[j] + col.shift
+			t.x[col.v] = t.val[j] + col.shift
 		case colNegated:
-			x[col.v] = col.shift - val[j]
+			t.x[col.v] = col.shift - t.val[j]
 		case colPlus:
-			x[col.v] += val[j]
+			t.x[col.v] = 0
+			t.x[col.v] += t.val[j]
 		case colMinus:
-			x[col.v] -= val[j]
+			t.x[col.v] -= t.val[j]
 		}
 	}
-	// Ensure every problem variable is present.
-	for _, v := range t.vars {
-		if _, ok := x[v]; !ok {
-			x[v] = 0
-			if lo, has := t.p.Lower[v]; has && lo > 0 {
-				x[v] = lo
-			}
-			if hi, has := t.p.Upper[v]; has && hi < x[v] {
-				x[v] = hi
-			}
-		}
-	}
-	res.X = x
-	res.Pivots = t.pivots
-	if t.p.Objective != nil {
-		obj := 0.0
-		for v, c := range t.p.Objective {
-			obj += c * x[v]
-		}
-		res.Objective = obj
-	}
-	return res
+	return Feasible
 }
