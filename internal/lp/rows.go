@@ -163,10 +163,11 @@ func (p *Problem) compile() *Rows {
 }
 
 // resize returns s with length n, reusing its array when it is large
-// enough.
+// enough and otherwise growing it by at least half, so that a run of
+// slightly larger problems does not reallocate each time.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, cap(s)+cap(s)/2))
 	}
 	return s[:n]
 }

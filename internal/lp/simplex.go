@@ -98,15 +98,16 @@ type tableau struct {
 	std     []stdRow
 	stdTerm []stdTerm
 
-	dense []float64   // m × n slab behind rows
-	rows  [][]float64 // m × n coefficient matrix
-	rhs   []float64   // length m, kept ≥ 0 by construction
-	basis []int       // basic column per row
+	dense []float64 // m × width coefficient matrix, row-major
+	width int
+	rhs   []float64 // length m, kept ≥ 0 by construction
+	basis []int     // basic column per row
 
 	cost  []float64 // phase-2 reduced costs (real objective)
 	wcost []float64 // phase-1 reduced costs (artificial objective)
 
-	support []int     // nonzero columns of the pivot row
+	support []int     // nonzero columns of the pivot row, other than the pivot column
+	pivRow  []float64 // the pivot row's entries at support
 	val     []float64 // column values at extraction
 	x       []float64 // variable values after a Feasible solve
 
@@ -263,7 +264,7 @@ func (t *tableau) build(maxIter int) {
 	nc := len(t.cols)
 	t.dense = resize(t.dense, m*nc)
 	clear(t.dense)
-	t.rows = resize(t.rows, m)
+	t.width = nc
 	t.rhs = resize(t.rhs, m)
 	t.basis = resize(t.basis, m)
 	t.cost = resize(t.cost, nc)
@@ -286,7 +287,6 @@ func (t *tableau) build(maxIter int) {
 				row[j] = -row[j]
 			}
 		}
-		t.rows[i] = row
 		t.rhs[i] = s.b
 		switch s.rel {
 		case LE:
@@ -327,7 +327,7 @@ func (t *tableau) build(maxIter int) {
 		if s.art < 0 {
 			continue
 		}
-		row := t.rows[i]
+		row := t.row(i)
 		for _, e := range t.stdTerm[s.start:s.end] {
 			t.wcost[e.col] -= row[e.col]
 		}
@@ -342,6 +342,11 @@ func (t *tableau) build(maxIter int) {
 	// the extracted point, so no constant term is tracked here.
 }
 
+// row returns row i of the matrix.
+func (t *tableau) row(i int) []float64 {
+	return t.dense[i*t.width : (i+1)*t.width : (i+1)*t.width]
+}
+
 func (t *tableau) appendCol(c column) int {
 	t.cols = append(t.cols, c)
 	return len(t.cols) - 1
@@ -353,31 +358,31 @@ func (t *tableau) appendCol(c column) int {
 // would have had zero subtracted from it.
 func (t *tableau) pivot(row, col int) {
 	t.pivots++
-	r := t.rows[row]
+	r := t.row(row)
 	inv := 1 / r[col]
-	sup := t.support[:0]
+	sup, rv := t.support[:0], t.pivRow[:0]
 	for j, a := range r {
 		if a != 0 {
 			r[j] = a * inv
 			if j != col {
 				sup = append(sup, j)
+				rv = append(rv, r[j])
 			}
 		}
 	}
-	t.support = sup
+	t.support, t.pivRow = sup, rv
 	t.rhs[row] *= inv
 	r[col] = 1 // exact
 
-	for i, ri := range t.rows {
-		if i == row {
+	w := t.width
+	for i, k := 0, col; i < len(t.rhs); i, k = i+1, k+w {
+		f := t.dense[k]
+		if f == 0 || i == row {
 			continue
 		}
-		f := ri[col]
-		if f == 0 {
-			continue
-		}
-		for _, j := range sup {
-			ri[j] -= f * r[j]
+		ri := t.row(i)
+		for n, j := range sup {
+			ri[j] -= f * rv[n]
 		}
 		ri[col] = 0
 		t.rhs[i] -= f * t.rhs[row]
@@ -390,8 +395,8 @@ func (t *tableau) pivot(row, col int) {
 		if f == 0 {
 			continue
 		}
-		for _, j := range sup {
-			costRow[j] -= f * r[j]
+		for n, j := range sup {
+			costRow[j] -= f * rv[n]
 		}
 		costRow[col] = 0
 	}
@@ -425,8 +430,8 @@ func (t *tableau) phase(costRow []float64, banned func(int) bool) Status {
 		// Ratio test, Bland tie-break on basis variable index.
 		leave := -1
 		best := math.Inf(1)
-		for i := range t.rows {
-			a := t.rows[i][enter]
+		for i, k := 0, enter; i < len(t.rhs); i, k = i+1, k+t.width {
+			a := t.dense[k]
 			if a <= pivotTol {
 				continue
 			}
@@ -479,7 +484,7 @@ func (t *tableau) run() Status {
 				if t.cols[j].kind == colArtificial {
 					continue
 				}
-				if math.Abs(t.rows[i][j]) > pivotTol {
+				if math.Abs(t.dense[i*t.width+j]) > pivotTol {
 					t.pivot(i, j)
 					break
 				}

@@ -1,6 +1,7 @@
 package polyar
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -41,7 +42,9 @@ func FuzzPolyARRegion(f *testing.F) {
 			return
 		}
 
-		rx := buildRelaxation(atoms, box, nil)
+		rx := compileRelaxation(atoms, vars)
+		var g region
+		g.fill(rx, box)
 		full, err := rx.extend(point)
 		if err != nil {
 			// The sampled point is outside some subterm's domain; the
@@ -52,21 +55,23 @@ func FuzzPolyARRegion(f *testing.F) {
 		// Aux bounds: exact subterm values must sit inside the interval
 		// ranges the relaxer assigned.
 		for _, a := range rx.aux {
-			v := full[a.name]
-			if lo, ok := rx.prob.Lower[a.name]; ok && v < lo-tolFor(lo) {
+			v := full[a.slot]
+			lo, hi := g.rows.Bounds(a.slot)
+			if v < lo-tolFor(lo) {
 				t.Fatalf("seed %d: aux %s = %v below bound %v (term %s)", seed, a.name, v, lo, expr.String(a.e))
 			}
-			if hi, ok := rx.prob.Upper[a.name]; ok && v > hi+tolFor(hi) {
+			if v > hi+tolFor(hi) {
 				t.Fatalf("seed %d: aux %s = %v above bound %v (term %s)", seed, a.name, v, hi, expr.String(a.e))
 			}
 		}
 
 		// Every relaxation row must hold at the canonical extension.
-		for i, c := range rx.prob.Constraints {
+		for i := 0; i < g.rows.NumRows(); i++ {
+			c := g.rows.Row(i)
 			lhs, scale := 0.0, 1.0+math.Abs(c.RHS)
-			for v, cf := range c.Coeffs {
-				lhs += cf * full[v]
-				scale += math.Abs(cf * full[v])
+			for _, tm := range c.Terms {
+				lhs += tm.Coeff * full[tm.Var]
+				scale += math.Abs(tm.Coeff * full[tm.Var])
 			}
 			tol := 1e-9 * scale
 			bad := false
@@ -85,8 +90,7 @@ func FuzzPolyARRegion(f *testing.F) {
 		}
 
 		// And the simplex must agree the region survives.
-		rx.prob.MaxIter = 20000
-		if res := rx.prob.Solve(); res.Status == lp.Infeasible {
+		if st := g.lp.Solve(context.Background(), &g.rows, 20000); st == lp.Infeasible {
 			t.Fatalf("seed %d: LP infeasible though %v satisfies %v", seed, point, atoms)
 		}
 	})

@@ -2,8 +2,10 @@ package polyar
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -141,6 +143,7 @@ func Solve(ctx context.Context, atoms []expr.Atom, box expr.Box, ints map[string
 	}
 	s.exhaustive = exhaustive
 
+	s.rx = compileRelaxation(atoms, s.vars)
 	return s.refine(ctx, root)
 }
 
@@ -152,6 +155,9 @@ type solver struct {
 	opt   Options
 	// workers is the size of the goroutine pool that drains each wave.
 	workers int
+	// rx is the relaxation, compiled once; each worker refills it into
+	// its own region buffers.
+	rx *relaxation
 
 	regions atomic.Int64
 	pruned  atomic.Int64
@@ -182,6 +188,11 @@ type outcome struct {
 func (s *solver) refine(ctx context.Context, root expr.Box) Result {
 	frontier := []expr.Box{root}
 	budget := s.opt.MaxRegions
+	regions := make([]*region, s.workers)
+	for w := range regions {
+		regions[w] = regionPool.Get().(*region)
+		defer regionPool.Put(regions[w])
+	}
 	for len(frontier) > 0 && budget > 0 {
 		wave := frontier
 		if len(wave) > budget {
@@ -195,20 +206,24 @@ func (s *solver) refine(ctx context.Context, root expr.Box) Result {
 		var cursor atomic.Int64
 		workers := min(s.workers, len(wave))
 		var wg sync.WaitGroup
+		var fault workerPanic
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
+			g := regions[w]
 			go func() {
 				defer wg.Done()
+				defer fault.recover()
 				for {
 					i := int(cursor.Add(1)) - 1
 					if i >= len(wave) {
 						return
 					}
-					results[i] = s.process(ctx, wave[i])
+					results[i] = s.process(ctx, wave[i], g)
 				}
 			}()
 		}
 		wg.Wait()
+		fault.repanic()
 
 		next := make([]expr.Box, 0, 2*len(wave))
 		for _, r := range results {
@@ -239,7 +254,7 @@ func (s *solver) refine(ctx context.Context, root expr.Box) Result {
 // process decides one region: interval refutation, integral emptiness and
 // LP infeasibility prune it; a verified point inside it is a witness;
 // otherwise it bisects.
-func (s *solver) process(ctx context.Context, box expr.Box) outcome {
+func (s *solver) process(ctx context.Context, box expr.Box, g *region) outcome {
 	s.regions.Add(1)
 	if ctx.Err() != nil {
 		return outcome{canceled: true}
@@ -270,18 +285,17 @@ func (s *solver) process(ctx context.Context, box expr.Box) outcome {
 	}
 
 	// LP discharge of the region's convex relaxation.
-	rx := buildRelaxation(s.atoms, box, s.ints)
-	rx.prob.MaxIter = lpMaxIter
-	res := rx.prob.SolveContext(ctx)
+	g.fill(s.rx, box)
+	st := g.lp.Solve(ctx, &g.rows, lpMaxIter)
 	if regionHook != nil {
-		regionHook(rx, res)
+		regionHook(s.rx, g, st)
 	}
-	switch res.Status {
+	switch st {
 	case lp.Infeasible:
 		s.pruned.Add(1)
 		return outcome{}
 	case lp.Feasible:
-		if w := s.verify(s.projected(res.X, box)); w != nil {
+		if w := s.verify(s.projected(g, box)); w != nil {
 			return outcome{witness: w}
 		}
 		if !allTrue {
@@ -317,7 +331,34 @@ func (s *solver) process(ctx context.Context, box expr.Box) outcome {
 
 // regionHook, when set (by tests only), observes every region LP after
 // it is solved.
-var regionHook func(rx *relaxation, res lp.Result)
+var regionHook func(rx *relaxation, g *region, st lp.Status)
+
+// regionPool recycles the workers' region buffers across Solve calls.
+var regionPool = sync.Pool{New: func() any { return new(region) }}
+
+// workerPanic carries the first panic of a wave's workers back to the
+// goroutine that runs Solve, where the caller's recover (absolverd's job
+// runner, a portfolio member) can see it; a panic left in a worker would
+// end the process.
+type workerPanic struct {
+	once  sync.Once
+	value any
+	stack []byte
+}
+
+// recover is deferred by each worker.
+func (p *workerPanic) recover() {
+	if r := recover(); r != nil {
+		p.once.Do(func() { p.value, p.stack = r, debug.Stack() })
+	}
+}
+
+// repanic re-raises a recorded panic once every worker has returned.
+func (p *workerPanic) repanic() {
+	if p.value != nil {
+		panic(fmt.Sprintf("polyar: region worker panicked: %v\n%s", p.value, p.stack))
+	}
+}
 
 // snapIntegral tightens integer variables to integral bounds in place;
 // false means some integer interval emptied (no integral point).
@@ -351,13 +392,13 @@ func (s *solver) midpoint(box expr.Box) expr.Env {
 	return env
 }
 
-// projected restricts an LP point to the problem variables, clamped into
-// the region and rounded on integer variables.
-func (s *solver) projected(x map[string]float64, box expr.Box) expr.Env {
+// projected restricts the region LP's point to the problem variables,
+// clamped into the region and rounded on integer variables.
+func (s *solver) projected(g *region, box expr.Box) expr.Env {
 	env := make(expr.Env, len(s.vars))
-	for _, v := range s.vars {
+	for i, v := range s.vars {
 		iv := box[v]
-		val, ok := x[v]
+		val, ok := g.lp.Value(s.rx.varSlot[i])
 		if !ok {
 			val = iv.Mid()
 		}
