@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime/debug"
 	"strconv"
 	"strings"
 	"sync"
@@ -201,6 +202,22 @@ func (r *round) settle(satRes *core.Result, winner, unknownReason string, failur
 	}
 }
 
+// abort closes the round with err as its failure, whatever the cubes
+// still outstanding.
+func (r *round) abort(err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.failure == nil {
+		r.failure = err
+	}
+	if r.remaining == 0 {
+		return
+	}
+	r.remaining = 0
+	r.cancel()
+	close(r.done)
+}
+
 func (r *round) addStats(st core.Stats) {
 	r.mu.Lock()
 	r.stats.Merge(st)
@@ -263,6 +280,14 @@ func (co *Coordinator) Solve(ctx context.Context, p *core.Problem, params api.So
 		wg.Add(1)
 		go func(pi int) {
 			defer wg.Done()
+			// A panic here (a bug, in the loop or in the Observer) would
+			// end the process; it becomes the round's error instead.
+			defer func() {
+				if v := recover(); v != nil {
+					co.logf("cluster: job=%s peer=%d dispatch panicked: %v\n%s", jobID, pi, v, debug.Stack())
+					r.abort(fmt.Errorf("cluster: dispatch to peer %d panicked: %v", pi, v))
+				}
+			}()
 			co.dispatchLoop(runCtx, r, queue, p, pi, jobID, relayURL, params)
 		}(pi)
 	}

@@ -209,6 +209,28 @@ func TestAttemptExhaustionFailsLoudly(t *testing.T) {
 	}
 }
 
+// panicObs panics on the first cube issued.
+type panicObs struct{ obs }
+
+func (o *panicObs) CubeIssued() { panic("observer exploded") }
+
+// TestDispatchPanicFailsRound: a panic in a dispatch goroutine (here the
+// Observer's) becomes the round's error instead of ending the process.
+func TestDispatchPanicFailsRound(t *testing.T) {
+	peers := []string{newWorker(t, server.Config{Workers: 2}), newWorker(t, server.Config{Workers: 2})}
+	co, err := New(Config{Peers: peers, Observer: &panicObs{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := co.Solve(context.Background(), unsatProblem(), api.SolveParams{}, nil)
+	if err == nil || !strings.Contains(err.Error(), "observer exploded") {
+		t.Fatalf("Solve = %+v, err %v; want the panic as the round's error", out, err)
+	}
+	if out.Result.Status != core.StatusUnknown {
+		t.Fatalf("status = %v, want unknown", out.Result.Status)
+	}
+}
+
 // TestTerminalRejectionFailsRound: a 400 from a worker is not retried.
 func TestTerminalRejectionFailsRound(t *testing.T) {
 	var calls atomic.Int64

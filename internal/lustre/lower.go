@@ -17,23 +17,25 @@ type Table struct {
 	inputs map[string]bool
 }
 
-// NewTable validates the program's main node: every equation targets a
-// declared non-input flow, no flow has two equations, and every declared
-// non-input flow has one.
+// NewTable validates the program's main node: no flow is declared twice,
+// every equation targets a declared non-input flow, no flow has two
+// equations, and every declared non-input flow has one.
 func NewTable(p *Program) (*Table, error) {
 	n := p.Main()
 	if n == nil {
 		return nil, fmt.Errorf("lustre: empty program")
 	}
 	tab := &Table{Node: n, types: map[string]Type{}, eqs: map[string]Expr{}, inputs: map[string]bool{}}
-	for _, d := range n.Inputs {
-		tab.types[d.Name] = d.Type
-		tab.inputs[d.Name] = true
-	}
-	for _, ds := range [][]VarDecl{n.Outputs, n.Locals} {
+	for _, ds := range [][]VarDecl{n.Inputs, n.Outputs, n.Locals} {
 		for _, d := range ds {
+			if _, dup := tab.types[d.Name]; dup {
+				return nil, fmt.Errorf("lustre: flow %s declared twice", d.Name)
+			}
 			tab.types[d.Name] = d.Type
 		}
+	}
+	for _, d := range n.Inputs {
+		tab.inputs[d.Name] = true
 	}
 	for _, eq := range n.Equations {
 		if tab.inputs[eq.Target] {

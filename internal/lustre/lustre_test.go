@@ -208,6 +208,11 @@ func TestExtractErrors(t *testing.T) {
 		"node n(x: real) returns (o: bool); let o = x > 0; ghost = x > 1; tel;",
 		// Declared flow with no equation, never read.
 		"node n(x: real) returns (o: bool); var l: real; let o = x > 0; tel;",
+		// A flow declared twice: an input redeclared as an output.
+		"node n(a: bool) returns (o: bool; a: int); let o = a > 0; tel;",
+		"node n(a: bool) returns (o: bool; a: bool); let o = a; tel;",
+		// An output redeclared as a local.
+		"node n(x: real) returns (o: bool); var o: bool; let o = x > 0; tel;",
 	}
 	for _, src := range bad {
 		p, err := Parse(src)

@@ -2,8 +2,10 @@ package polyar
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 
 	"absolver/internal/expr"
@@ -191,5 +193,25 @@ func TestSolveDeterministic(t *testing.T) {
 				t.Fatalf("run %d witness diverged on %s: %v vs %v", i, k, again.X[k], v)
 			}
 		}
+	}
+}
+
+// TestWorkerPanicReachesSolve: a panic in a region worker is re-raised on
+// the goroutine that called Solve, where a caller's recover (absolverd's
+// job runner, a portfolio member) catches it; left in the worker it would
+// end the process.
+func TestWorkerPanicReachesSolve(t *testing.T) {
+	defer RecordRegions(func(string) { panic("region exploded") })()
+	atoms := []expr.Atom{
+		{LHS: expr.Add(expr.Mul(expr.V("x"), expr.V("x")), expr.Mul(expr.V("y"), expr.V("y"))), Op: expr.CmpLE, RHS: expr.C(4)},
+		{LHS: expr.Add(expr.V("x"), expr.V("y")), Op: expr.CmpGE, RHS: expr.C(1)},
+	}
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		Solve(context.Background(), atoms, box2(-2, 2, -2, 2), nil, Options{})
+	}()
+	if got == nil || !strings.Contains(fmt.Sprint(got), "region exploded") {
+		t.Fatalf("Solve's goroutine recovered %v, want the worker's panic", got)
 	}
 }
