@@ -212,16 +212,6 @@ func (p *Problem) AddConstraint(coeffs map[string]float64, rel Rel, rhs float64)
 	return len(p.Constraints) - 1
 }
 
-// AddRow appends a fully-formed row, preserving the caller's Tag (unlike
-// AddConstraint, which overwrites it with the row index). Callers that
-// map rows back to their own structures — internal/polyar tags relaxation
-// rows with source-atom indexes — use this to keep that mapping through
-// IIS extraction.
-func (p *Problem) AddRow(c Constraint) int {
-	p.Constraints = append(p.Constraints, c)
-	return len(p.Constraints) - 1
-}
-
 // SetBounds sets lo ≤ v ≤ hi. Use math.Inf for one-sided bounds.
 func (p *Problem) SetBounds(v string, lo, hi float64) {
 	if !math.IsInf(lo, -1) {

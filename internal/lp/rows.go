@@ -72,15 +72,8 @@ func (r *Rows) Reset(n int) {
 // SetBounds sets lo ≤ x[j] ≤ hi, as Problem.SetBounds does for a name:
 // an infinite side is absent.
 func (r *Rows) SetBounds(j int, lo, hi float64) {
-	r.hasLo[j] = !math.IsInf(lo, -1)
-	r.hasHi[j] = !math.IsInf(hi, 1)
-	r.lo0[j], r.hi0[j] = math.Inf(-1), math.Inf(1)
-	if r.hasLo[j] {
-		r.lo0[j] = lo
-	}
-	if r.hasHi[j] {
-		r.hi0[j] = hi
-	}
+	r.lo0[j], r.hi0[j] = lo, hi
+	r.hasLo[j], r.hasHi[j] = !math.IsInf(lo, -1), !math.IsInf(hi, 1)
 }
 
 // Bounds returns variable j's bounds, ±Inf where absent.

@@ -158,7 +158,6 @@ func (t *tableau) solve(ctx context.Context, r *Rows, active []bool, maxIter int
 func (t *tableau) build(maxIter int) {
 	r := t.r
 	n := len(r.lo0)
-	clear(t.has)
 	for j := 0; j < n; j++ {
 		t.has[j] = t.hasLo[j] || t.hasHi[j] || (r.keep != nil && r.keep[j])
 	}

@@ -206,13 +206,22 @@ func (s *solver) refine(ctx context.Context, root expr.Box) Result {
 		var cursor atomic.Int64
 		workers := min(s.workers, len(wave))
 		var wg sync.WaitGroup
-		var fault workerPanic
+		// The first panic of a worker is carried back to this goroutine
+		// and re-raised once the wave is done, where the caller's recover
+		// (absolverd's job runner, a portfolio member) can see it; left in
+		// the worker it would end the process.
+		var panicked sync.Once
+		var fault string
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			g := regions[w]
 			go func() {
 				defer wg.Done()
-				defer fault.recover()
+				defer func() {
+					if v := recover(); v != nil {
+						panicked.Do(func() { fault = fmt.Sprintf("polyar: region worker panicked: %v\n%s", v, debug.Stack()) })
+					}
+				}()
 				for {
 					i := int(cursor.Add(1)) - 1
 					if i >= len(wave) {
@@ -223,7 +232,9 @@ func (s *solver) refine(ctx context.Context, root expr.Box) Result {
 			}()
 		}
 		wg.Wait()
-		fault.repanic()
+		if fault != "" {
+			panic(fault)
+		}
 
 		next := make([]expr.Box, 0, 2*len(wave))
 		for _, r := range results {
@@ -335,30 +346,6 @@ var regionHook func(rx *relaxation, g *region, st lp.Status)
 
 // regionPool recycles the workers' region buffers across Solve calls.
 var regionPool = sync.Pool{New: func() any { return new(region) }}
-
-// workerPanic carries the first panic of a wave's workers back to the
-// goroutine that runs Solve, where the caller's recover (absolverd's job
-// runner, a portfolio member) can see it; a panic left in a worker would
-// end the process.
-type workerPanic struct {
-	once  sync.Once
-	value any
-	stack []byte
-}
-
-// recover is deferred by each worker.
-func (p *workerPanic) recover() {
-	if r := recover(); r != nil {
-		p.once.Do(func() { p.value, p.stack = r, debug.Stack() })
-	}
-}
-
-// repanic re-raises a recorded panic once every worker has returned.
-func (p *workerPanic) repanic() {
-	if p.value != nil {
-		panic(fmt.Sprintf("polyar: region worker panicked: %v\n%s", p.value, p.stack))
-	}
-}
 
 // snapIntegral tightens integer variables to integral bounds in place;
 // false means some integer interval emptied (no integral point).
