@@ -284,9 +284,11 @@ func lazySolve(p *core.Problem, cfg lazyConfig) (Result, error) {
 			}
 			for i := range neqs {
 				la, _ := expr.LinearizeAtom(neqs[i].atom)
+				// Summed in sorted variable order, so the tolerance
+				// test cannot flip with map iteration order.
 				lhs := 0.0
-				for v, c := range la.Form.Coeffs {
-					lhs += c * lr.X[v]
+				for _, v := range la.Form.Vars() {
+					lhs += la.Form.Coeffs[v] * lr.X[v]
 				}
 				d := lhs - la.Bound
 				if d < 1e-9 && d > -1e-9 {

@@ -464,6 +464,9 @@ type Engine struct {
 	sharedSeen map[string]bool
 	// tcache memoises theory verdicts per asserted-atom projection.
 	tcache map[string]theoryVerdict
+	// lin memoises each literal's linear form (see linear); like tcache
+	// it is dropped when a new integer variable is marked.
+	lin []*linLit
 	// assumps are assumption literals (DIMACS) applied to every Boolean
 	// query of the next solve — a Session sets them to its frame selectors
 	// plus the caller's literals. Requires an AssumingBoolSolver.
@@ -922,8 +925,8 @@ func (e *Engine) theoryCheck(ctx context.Context, model []bool) theoryVerdict {
 	var neqs []assertedAtom
 	var nonlinear []assertedAtom
 	for _, aa := range asserted {
-		la, ok := expr.LinearizeAtom(aa.atom)
-		if !ok {
+		l := e.linear(aa)
+		if !l.ok {
 			nonlinear = append(nonlinear, aa)
 			continue
 		}
@@ -931,9 +934,7 @@ func (e *Engine) theoryCheck(ctx context.Context, model []bool) theoryVerdict {
 			neqs = append(neqs, aa)
 			continue
 		}
-		row := linearRow(la, e.intVars)
-		row.Tag = aa.lit
-		rows = append(rows, row)
+		rows = append(rows, l.row)
 	}
 
 	// Linear stage.
@@ -1134,7 +1135,7 @@ func (e *Engine) checkLinearWithNE(ctx context.Context, rows []lp.Constraint, ne
 	}
 
 	// Fast path: all disequalities already hold at the witness.
-	violated := violatedNE(neqs, base.X)
+	violated := e.violatedNE(neqs, base.X)
 	if len(violated) == 0 {
 		return lp.Feasible, base.X, nil
 	}
@@ -1179,19 +1180,14 @@ func (e *Engine) neSplit(ctx context.Context, rows []lp.Constraint, neqs []asser
 	if res.Status != lp.Feasible {
 		return res.Status, nil, nil
 	}
-	violated := violatedNE(neqs, res.X)
+	violated := e.violatedNE(neqs, res.X)
 	if len(violated) == 0 {
 		return lp.Feasible, res.X, nil
 	}
 	e.st.NESplits++
 	aa := violated[0]
-	la, _ := expr.LinearizeAtom(aa.atom) // Op == CmpNE
 	var conflict []int
-	for _, side := range []expr.CmpOp{expr.CmpLT, expr.CmpGT} {
-		sideAtomLA := la
-		sideAtomLA.Op = side
-		row := linearRow(sideAtomLA, e.intVars)
-		row.Tag = aa.lit
+	for _, row := range e.linear(aa).sides {
 		st, x, c := e.neSplit(ctx, append(rows[:len(rows):len(rows)], row), neqs, budget)
 		if st == lp.Feasible {
 			return st, x, nil
@@ -1253,20 +1249,75 @@ func (e *Engine) acceptWitness(asserted []assertedAtom, env expr.Env) bool {
 	return verifyAsserted(asserted, env)
 }
 
-// violatedNE returns the disequalities that fail at x.
-func violatedNE(neqs []assertedAtom, x map[string]float64) []assertedAtom {
+// violatedNE returns the disequalities that fail at x. Each left-hand
+// side is summed in sorted variable order, so the tolerance test cannot
+// flip with map iteration order.
+func (e *Engine) violatedNE(neqs []assertedAtom, x map[string]float64) []assertedAtom {
 	var out []assertedAtom
 	for _, aa := range neqs {
-		la, _ := expr.LinearizeAtom(aa.atom)
+		l := e.linear(aa)
 		lhs := 0.0
-		for v, c := range la.Form.Coeffs {
-			lhs += c * x[v]
+		for i, v := range l.vars {
+			lhs += l.coeffs[i] * x[v]
 		}
-		if math.Abs(lhs-la.Bound) <= 1e-9 {
+		if math.Abs(lhs-l.bound) <= 1e-9 {
 			out = append(out, aa)
 		}
 	}
 	return out
+}
+
+// linLit is an asserted literal's linear form, built once per engine.
+type linLit struct {
+	ok bool // the atom is linear
+	// row is the literal's lp row, tagged with the literal; for a
+	// disequality, sides holds its < and > rows instead.
+	row   lp.Constraint
+	sides [2]lp.Constraint
+	// vars and coeffs are the form's terms in sorted variable order, and
+	// bound its right-hand side.
+	vars   []string
+	coeffs []float64
+	bound  float64
+}
+
+// linear returns aa's linear form, memoised per literal: theoryCheck,
+// neSplit and violatedNE see the same literals check after check. The
+// rows depend on intVars (integralRow), so bindIncremental drops the memo
+// when it marks a new integer variable.
+func (e *Engine) linear(aa assertedAtom) *linLit {
+	i := 2 * aa.lit
+	if aa.lit < 0 {
+		i = -2*aa.lit + 1
+	}
+	if i >= len(e.lin) {
+		e.lin = append(e.lin, make([]*linLit, i+1-len(e.lin))...)
+	}
+	if l := e.lin[i]; l != nil {
+		return l
+	}
+	l := &linLit{}
+	if la, ok := expr.LinearizeAtom(aa.atom); ok {
+		l.ok, l.bound = true, la.Bound
+		l.vars = la.Form.Vars()
+		l.coeffs = make([]float64, len(l.vars))
+		for j, v := range l.vars {
+			l.coeffs[j] = la.Form.Coeffs[v]
+		}
+		if aa.atom.Op == expr.CmpNE {
+			for j, side := range []expr.CmpOp{expr.CmpLT, expr.CmpGT} {
+				sideLA := la
+				sideLA.Op = side
+				l.sides[j] = linearRow(sideLA, e.intVars)
+				l.sides[j].Tag = aa.lit
+			}
+		} else {
+			l.row = linearRow(la, e.intVars)
+			l.row.Tag = aa.lit
+		}
+	}
+	e.lin[i] = l
+	return l
 }
 
 // minimizeNonlinearConflict shrinks the refuted atom set using the cheap

@@ -643,3 +643,21 @@ func TestEngineRejectsLinearWitnessOutsideBounds(t *testing.T) {
 		t.Fatalf("sat with model %v from an out-of-bounds linear witness", res.Model.Real)
 	}
 }
+
+// TestViolatedNESumsInSortedOrder: a disequality's left-hand side is
+// summed in sorted variable order. At a = 1e17, b = −1e17, c = 1 that
+// order gives exactly 1, so a + b + c ≠ 1 is violated on every call; a
+// map-order sum would give 0 in some orders and flip the verdict.
+func TestViolatedNESumsInSortedOrder(t *testing.T) {
+	p := NewProblem()
+	p.AddClause(1)
+	p.Bind(0, atomT(t, "c + a + b != 1", expr.Real))
+	e := NewEngine(p, Config{})
+	neqs := []assertedAtom{{lit: 1, atom: p.Bindings[0]}}
+	x := map[string]float64{"a": 1e17, "b": -1e17, "c": 1}
+	for i := 0; i < 50; i++ {
+		if got := e.violatedNE(neqs, x); len(got) != 1 {
+			t.Fatalf("call %d: violated = %v, want the disequality", i, got)
+		}
+	}
+}

@@ -396,8 +396,9 @@ func (e *Engine) bindIncremental(v int) error {
 			if !e.intVars[name] {
 				e.intVars[name] = true
 				// Integer marking changes the meaning of every cached verdict
-				// that constrains name: wipe the cache rather than audit it.
-				e.tcache = nil
+				// and linear row that constrains name: wipe both rather than
+				// audit them.
+				e.tcache, e.lin = nil, nil
 			}
 		}
 	}

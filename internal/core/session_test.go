@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"absolver/internal/expr"
+	"absolver/internal/lp"
 )
 
 // sessionBase builds the shared base problem of the session tests:
@@ -420,5 +421,71 @@ func TestSessionSolveFrameAfterAssertFailure(t *testing.T) {
 	}
 	if d := s.Depth(); d != 0 {
 		t.Fatalf("depth after a solved frame = %d, want 0", d)
+	}
+}
+
+// rowRecorder is the default linear solver, recording the last row it was
+// given for each literal tag.
+type rowRecorder struct {
+	SimplexSolver
+	rows map[int]lp.Constraint
+}
+
+func (r *rowRecorder) Check(ctx context.Context, rows []lp.Constraint, lower, upper map[string]float64, ints map[string]bool) LinearVerdict {
+	for _, row := range rows {
+		r.rows[row.Tag] = row
+	}
+	return r.SimplexSolver.Check(ctx, rows, lower, upper, ints)
+}
+
+// TestSessionIntegerMarkRebuildsRows: the engine builds each literal's
+// row once, but an Int atom bound later over a real variable changes the
+// row's strict relaxation from x ≤ 3−ε to x ≤ 2, so the next check must
+// see the integer row, as a fresh engine over both atoms does.
+func TestSessionIntegerMarkRebuildsRows(t *testing.T) {
+	ctx := context.Background()
+	lastRow := func(s *Session, rec *rowRecorder, lit int) lp.Constraint {
+		t.Helper()
+		res, err := s.SolveUnderAssumptions(ctx, []int{lit})
+		if err != nil || res.Status != StatusSat {
+			t.Fatalf("x < 3: %v %v", res.Status, err)
+		}
+		row, ok := rec.rows[lit]
+		if !ok {
+			t.Fatalf("no linear check saw literal %d", lit)
+		}
+		return row
+	}
+
+	rec := &rowRecorder{rows: map[int]lp.Constraint{}}
+	s, err := NewSession(NewProblem(), Config{Linear: rec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lt, err := s.Bind(atomT(t, "x < 3", expr.Real))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := lastRow(s, rec, lt); row.Rel != lp.LE || row.RHS != 3-lp.Epsilon {
+		t.Fatalf("real x: row %v, want x <= 3-ε", row)
+	}
+	if _, err := s.Bind(atomT(t, "x >= -100", expr.Int)); err != nil {
+		t.Fatal(err)
+	}
+	got := lastRow(s, rec, lt)
+
+	freshRec := &rowRecorder{rows: map[int]lp.Constraint{}}
+	fresh, err := NewSession(NewProblem(), Config{Linear: freshRec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range []expr.Atom{atomT(t, "x < 3", expr.Real), atomT(t, "x >= -100", expr.Int)} {
+		if _, err := fresh.Bind(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := lastRow(fresh, freshRec, lt)
+	if got.Rel != lp.LE || got.RHS != 2 || got.Rel != want.Rel || got.RHS != want.RHS {
+		t.Fatalf("after the Int atom: row %v, fresh engine %v, want x <= 2", got, want)
 	}
 }

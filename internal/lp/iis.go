@@ -42,9 +42,12 @@ func (p *Problem) deletionFilter(ctx context.Context, s *Rows) []int {
 			return nil
 		}
 		active[i] = false
-		// Bound propagation is a cheap sound oracle; only subsets it
-		// cannot refute pay for a simplex run.
-		if s.propagate(active) && t.solve(ctx, &sub, active, p.MaxIter) != Infeasible {
+		// Row i goes when simplex or propagation refutes the rest, so the
+		// order of the two tests does not change the result. Simplex runs
+		// first: CheckContext reaches this filter only after propagation
+		// failed on the full set, and on such systems propagation rarely
+		// refutes a subset.
+		if t.solve(ctx, &sub, active, p.MaxIter) != Infeasible && s.propagate(active) {
 			active[i] = true // i is needed for infeasibility
 		}
 	}
@@ -61,18 +64,44 @@ func (p *Problem) IISByPropagation() []int {
 	return p.compile().iisByPropagation()
 }
 
+// iisByPropagation runs the propagation filter with reason-cone skipping,
+// then confirms with one more propagation that the rows it kept still
+// refute; if they did not, it would rerun the filter testing every row.
 func (s *Rows) iisByPropagation() []int {
-	if s.propagate(nil) {
+	tr := trails.Get().(*trail)
+	defer trails.Put(tr)
+	if s.propagateTrail(nil, tr) {
 		return nil
 	}
-	active := allActive(len(s.rows))
-	for i := range active {
-		active[i] = false
-		if s.propagate(active) {
-			active[i] = true
-		}
+	active := s.propagationFilter(tr)
+	if s.propagate(active) {
+		active = s.propagationFilter(nil)
 	}
 	return activeIndices(active)
+}
+
+// propagationFilter is the deletion filter over an s that propagation
+// refutes: row i is dropped iff propagation still refutes the rows left
+// without it, in row order. With tr, holding the trail of the refuting
+// run over all rows, a row outside the reason cone of the last refutation
+// is dropped without a test when that run was exact (see trail): the
+// active rows stay between the cone and the refuted set, so propagation
+// would refute without the row. Only rows inside the cone are tested.
+func (s *Rows) propagationFilter(tr *trail) []bool {
+	active := allActive(len(s.rows))
+	exact := tr != nil && tr.cone(len(s.rows))
+	for i := range active {
+		active[i] = false
+		if exact && !tr.inCone[i] {
+			continue
+		}
+		if s.propagateTrail(active, tr) {
+			active[i] = true
+		} else if tr != nil {
+			exact = tr.cone(len(s.rows))
+		}
+	}
+	return active
 }
 
 // CheckContext decides the problem the way a lazy SMT engine's linear
@@ -83,7 +112,8 @@ func (s *Rows) iisByPropagation() []int {
 //   - otherwise simplex, or branch-and-bound with maxNodes when integer
 //     variables are marked;
 //   - on Infeasible, the deletion filter of IISContext, without proving
-//     the infeasibility a second time.
+//     the infeasibility a second time: branch-and-bound's root node has
+//     already solved the relaxation.
 //
 // The returned subset is nil unless the Result is Infeasible. It is also
 // nil when ctx is cancelled during the filter and when the infeasibility is
@@ -95,18 +125,18 @@ func (p *Problem) CheckContext(ctx context.Context, maxNodes int) (Result, []int
 		return Result{Status: Infeasible}, iis
 	}
 	var res Result
+	relaxed := Infeasible // the relaxation's status once res is Infeasible
 	if len(p.Integer) > 0 {
-		res = p.SolveMIPContext(ctx, maxNodes).Result
+		var mr MIPResult
+		mr, relaxed = p.solveMIP(ctx, maxNodes)
+		res = mr.Result
 	} else {
 		res = solveRows(ctx, s, nil, p.MaxIter)
 	}
-	if res.Status != Infeasible {
-		return res, nil
-	}
-	// Propagation is known inconclusive here; without integer variables
-	// the simplex run above is exactly IISContext's proof. With them,
-	// the relaxation still has to be shown infeasible.
-	if len(p.Integer) > 0 && solveRows(ctx, s, nil, p.MaxIter).Status != Infeasible {
+	// Propagation is known inconclusive here. Without integer variables
+	// the simplex run above is exactly IISContext's proof; with them,
+	// branch-and-bound's root node is the relaxation's solve.
+	if res.Status != Infeasible || relaxed != Infeasible {
 		return res, nil
 	}
 	return res, p.deletionFilter(ctx, s)

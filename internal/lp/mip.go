@@ -28,11 +28,19 @@ func (p *Problem) SolveMIP(maxNodes int) MIPResult {
 // polled at every branch-and-bound node and inside every LP relaxation;
 // once cancelled the search aborts with Status Canceled.
 func (p *Problem) SolveMIPContext(ctx context.Context, maxNodes int) MIPResult {
-	if maxNodes == 0 {
-		maxNodes = 200000
-	}
 	if len(p.Integer) == 0 {
 		return MIPResult{Result: p.SolveContext(ctx)}
+	}
+	res, _ := p.solveMIP(ctx, maxNodes)
+	return res
+}
+
+// solveMIP is SolveMIPContext's branch-and-bound over a p with integer
+// marks. It also returns the status of the root node's LP, the relaxation
+// of p; it is IterLimit when the search stopped before solving the root.
+func (p *Problem) solveMIP(ctx context.Context, maxNodes int) (MIPResult, Status) {
+	if maxNodes == 0 {
+		maxNodes = 200000
 	}
 
 	type node struct {
@@ -58,6 +66,7 @@ func (p *Problem) SolveMIPContext(ctx context.Context, maxNodes int) MIPResult {
 
 	stack := []node{{lower: copyBounds(p.Lower), upper: copyBounds(p.Upper)}}
 	nodes := 0
+	root := IterLimit
 	var best *Result
 	hitLimit := false
 
@@ -67,7 +76,7 @@ func (p *Problem) SolveMIPContext(ctx context.Context, maxNodes int) MIPResult {
 			break
 		}
 		if ctx.Err() != nil {
-			return MIPResult{Result: Result{Status: Canceled}, Nodes: nodes}
+			return MIPResult{Result: Result{Status: Canceled}, Nodes: nodes}, root
 		}
 		nodes++
 		nd := stack[len(stack)-1]
@@ -82,6 +91,9 @@ func (p *Problem) SolveMIPContext(ctx context.Context, maxNodes int) MIPResult {
 			MaxIter:     p.MaxIter,
 		}
 		r := sub.SolveContext(ctx)
+		if nodes == 1 {
+			root = r.Status
+		}
 		switch r.Status {
 		case Infeasible:
 			continue
@@ -92,7 +104,7 @@ func (p *Problem) SolveMIPContext(ctx context.Context, maxNodes int) MIPResult {
 			hitLimit = true
 			continue
 		case Canceled:
-			return MIPResult{Result: Result{Status: Canceled}, Nodes: nodes}
+			return MIPResult{Result: Result{Status: Canceled}, Nodes: nodes}, root
 		}
 		if best != nil && p.Objective != nil && r.Objective >= best.Objective-1e-9 {
 			continue // bound: relaxation cannot beat incumbent
@@ -180,7 +192,7 @@ func (p *Problem) SolveMIPContext(ctx context.Context, maxNodes int) MIPResult {
 					}
 					continue
 				}
-				return MIPResult{Result: r, Nodes: nodes}
+				return MIPResult{Result: r, Nodes: nodes}, root
 			}
 			// Not accepted: branchVar now names a tight-tolerance
 			// fractional variable to branch on.
@@ -213,10 +225,10 @@ func (p *Problem) SolveMIPContext(ctx context.Context, maxNodes int) MIPResult {
 	}
 
 	if best != nil {
-		return MIPResult{Result: *best, Nodes: nodes}
+		return MIPResult{Result: *best, Nodes: nodes}, root
 	}
 	if hitLimit {
-		return MIPResult{Result: Result{Status: IterLimit}, Nodes: nodes}
+		return MIPResult{Result: Result{Status: IterLimit}, Nodes: nodes}, root
 	}
-	return MIPResult{Result: Result{Status: Infeasible}, Nodes: nodes}
+	return MIPResult{Result: Result{Status: Infeasible}, Nodes: nodes}, root
 }

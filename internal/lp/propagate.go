@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // propagationRounds bounds the sweeps of one bound propagation.
 const propagationRounds = 50
@@ -16,12 +19,21 @@ const propagationRounds = 50
 // affordable on conjunction-heavy instances (equality chains, as in the
 // Fischer benchmarks): most subset tests are refuted by propagation alone,
 // and only the residual cases pay for a full simplex run.
-func (s *Rows) propagate(active []bool) bool {
+func (s *Rows) propagate(active []bool) bool { return s.propagateTrail(active, nil) }
+
+// propagateTrail is propagate that, when tr is non-nil, also records in
+// tr which row made each bound change and which earlier changes it read,
+// and, on a refutation, where the domain emptied. The arithmetic is the
+// same with and without tr.
+func (s *Rows) propagateTrail(active []bool, tr *trail) bool {
 	s.lo = resize(s.lo, len(s.lo0))
 	s.hi = resize(s.hi, len(s.hi0))
 	lo, hi := s.lo, s.hi
 	copy(lo, s.lo0)
 	copy(hi, s.hi0)
+	if tr != nil {
+		tr.reset(lo, hi)
+	}
 	const tol = 1e-9
 	for round := 0; round < propagationRounds; round++ {
 		changed := false
@@ -58,31 +70,62 @@ func (s *Rows) propagate(active []bool) bool {
 					}
 				}
 				// a·x ≤ bU − restLo  and  a·x ≥ bL − restHi.
-				if hasU && !math.IsInf(restLo, 0) {
-					nb := (bU - restLo) / a
-					if a > 0 {
-						if nb < hi[v]-tol {
-							hi[v] = nb
-							changed = true
-						}
-					} else if nb > lo[v]+tol {
-						lo[v] = nb
-						changed = true
-					}
-				}
-				if hasL && !math.IsInf(restHi, 0) {
-					nb := (bL - restHi) / a
-					if a > 0 {
-						if nb > lo[v]+tol {
+				if hasU {
+					if !math.IsInf(restLo, 0) {
+						nb := (bU - restLo) / a
+						if a > 0 {
+							if nb < hi[v]-tol {
+								hi[v] = nb
+								changed = true
+								if tr != nil {
+									tr.setHi[v] = tr.note(ri, r.Terms, k, true)
+								}
+							} else if tr != nil && !(nb >= hi[v]) {
+								tr.exact = false
+							}
+						} else if nb > lo[v]+tol {
 							lo[v] = nb
 							changed = true
+							if tr != nil {
+								tr.setLo[v] = tr.note(ri, r.Terms, k, true)
+							}
+						} else if tr != nil && !(nb <= lo[v]) {
+							tr.exact = false
 						}
-					} else if nb < hi[v]-tol {
-						hi[v] = nb
-						changed = true
+					} else if tr != nil && restLo > 0 {
+						tr.exact = false
+					}
+				}
+				if hasL {
+					if !math.IsInf(restHi, 0) {
+						nb := (bL - restHi) / a
+						if a > 0 {
+							if nb > lo[v]+tol {
+								lo[v] = nb
+								changed = true
+								if tr != nil {
+									tr.setLo[v] = tr.note(ri, r.Terms, k, false)
+								}
+							} else if tr != nil && !(nb <= lo[v]) {
+								tr.exact = false
+							}
+						} else if nb < hi[v]-tol {
+							hi[v] = nb
+							changed = true
+							if tr != nil {
+								tr.setHi[v] = tr.note(ri, r.Terms, k, false)
+							}
+						} else if tr != nil && !(nb >= hi[v]) {
+							tr.exact = false
+						}
+					} else if tr != nil && restHi < 0 {
+						tr.exact = false
 					}
 				}
 				if lo[v] > hi[v]+FeasTol {
+					if tr != nil {
+						tr.conflict = [3]int32{int32(ri), tr.setLo[v], tr.setHi[v]}
+					}
 					return false
 				}
 			}
@@ -92,6 +135,109 @@ func (s *Rows) propagate(active []bool) bool {
 		}
 	}
 	return true
+}
+
+// trail is bound propagation's reason trail. Each bound change is an
+// event: the row that made it, and the events that set the bounds the row
+// read to derive it (the initial bounds are no event). On a refutation,
+// cone marks the rows whose events the emptied domain traces back to.
+//
+// The cone is exact when the run was exact: every update it skipped was
+// at least as loose as the bound it met (not merely within the 1e-9
+// tolerance of it), and it never skipped an update for an infinite rest
+// sum that would have made a tight bound. Then dropping rows outside the
+// cone cannot tighten any bound at any step of the run, so the cone's
+// events replay unchanged and propagation over any active set between the
+// cone and the refuted set refutes at the same step or earlier.
+type trail struct {
+	setLo, setHi []int32 // variable → the event that set its current bound, or -1
+	row          []int32 // event → row
+	start        []int32 // event → its first entry in reads
+	reads        []int32 // the events each event read
+	// conflict is the refuting row and the events that set the emptied
+	// domain's lower and upper bound.
+	conflict [3]int32
+	exact    bool
+	inCone   []bool // row → in the cone of the last refutation
+	seen     []bool // event → reached by cone
+	stack    []int32
+}
+
+// trails recycles reason trails across filters.
+var trails = sync.Pool{New: func() any { return new(trail) }}
+
+// reset empties tr for a run over the initial bounds lo/hi. A run whose
+// initial bounds include a lower bound of +Inf, an upper bound of −Inf or
+// a NaN is not exact: infinite rest sums then break the monotonicity the
+// cone relies on.
+func (tr *trail) reset(lo, hi []float64) {
+	tr.setLo = resize(tr.setLo, len(lo))
+	tr.setHi = resize(tr.setHi, len(hi))
+	tr.exact = true
+	for j := range tr.setLo {
+		tr.setLo[j], tr.setHi[j] = -1, -1
+		if !(lo[j] < math.Inf(1)) || !(hi[j] > math.Inf(-1)) {
+			tr.exact = false
+		}
+	}
+	tr.row, tr.start, tr.reads = tr.row[:0], tr.start[:0], tr.reads[:0]
+}
+
+// note records a bound change by term k of row ri, derived from the rest
+// sum's lower end (fromU: the row's upper side) or its upper end, and
+// returns the new event.
+func (tr *trail) note(ri int, terms []Term, k int, fromU bool) int32 {
+	e := int32(len(tr.row))
+	tr.row = append(tr.row, int32(ri))
+	tr.start = append(tr.start, int32(len(tr.reads)))
+	for m, w := range terms {
+		if m == k {
+			continue
+		}
+		set := tr.setHi
+		if (w.Coeff > 0) == fromU {
+			set = tr.setLo
+		}
+		if src := set[w.Var]; src >= 0 {
+			tr.reads = append(tr.reads, src)
+		}
+	}
+	return e
+}
+
+// cone marks in tr.inCone (one entry per of n rows) the refuting row and
+// every row whose events the last refutation read, directly or through
+// earlier events, and reports whether the run was exact.
+func (tr *trail) cone(n int) bool {
+	tr.inCone = resize(tr.inCone, n)
+	clear(tr.inCone)
+	tr.seen = resize(tr.seen, len(tr.row))
+	clear(tr.seen)
+	tr.inCone[tr.conflict[0]] = true
+	stack := tr.stack[:0]
+	for _, e := range tr.conflict[1:] {
+		if e >= 0 && !tr.seen[e] {
+			tr.seen[e] = true
+			stack = append(stack, e)
+		}
+	}
+	for len(stack) > 0 {
+		e := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		tr.inCone[tr.row[e]] = true
+		end := int32(len(tr.reads))
+		if int(e)+1 < len(tr.start) {
+			end = tr.start[e+1]
+		}
+		for _, src := range tr.reads[tr.start[e]:end] {
+			if !tr.seen[src] {
+				tr.seen[src] = true
+				stack = append(stack, src)
+			}
+		}
+	}
+	tr.stack = stack
+	return tr.exact
 }
 
 // RefutedByPropagation reports whether bound propagation alone proves the

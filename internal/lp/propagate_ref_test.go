@@ -2,9 +2,11 @@ package lp
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -275,4 +277,246 @@ func (p *Problem) solveRowsContext(ctx context.Context, rows []Constraint) Resul
 	q.Upper = p.Upper
 	q.MaxIter = p.MaxIter
 	return q.SolveContext(ctx)
+}
+
+// randomFischerProblem draws a system shaped like the linear checks of the
+// Fischer benchmarks: mostly unit rows over clocks and integer-marked
+// program counters, difference rows chaining clocks, and strict rows
+// relaxed by Epsilon. Some strict rows close a cycle over bounded clocks,
+// so propagation tightens the cycle by a few Epsilon per sweep and runs to
+// about propagationRounds before it refutes, or stops at the limit without
+// refuting. Variable names sort in a different order than they are made.
+func randomFischerProblem(rng *rand.Rand) *Problem {
+	p := NewProblem()
+	clocks := make([]string, 3+rng.Intn(4))
+	for i := range clocks {
+		clocks[i] = fmt.Sprintf("x_%d", 12-3*i)
+	}
+	pcs := []string{"pc_b", "pc_a"}
+	// width is the clocks' upper bound: a cycle over them creeps for
+	// about width/(k·Epsilon) sweeps, straddling propagationRounds.
+	width := float64(20+rng.Intn(400)) * Epsilon
+	if rng.Intn(3) == 0 {
+		width = float64(1 + rng.Intn(4))
+	}
+	for _, v := range clocks {
+		switch rng.Intn(5) {
+		case 0:
+		case 1:
+			p.Lower[v] = 0
+		default:
+			p.Lower[v], p.Upper[v] = 0, width
+		}
+	}
+	for _, v := range pcs {
+		p.MarkInteger(v)
+		p.Lower[v], p.Upper[v] = 0, 3
+	}
+	rels := []Rel{LE, GE, EQ}
+	// constant is a point of the clocks' range, possibly moved by Epsilon
+	// as a strict row's relaxation moves it.
+	constant := func() float64 {
+		c := float64(rng.Intn(4)) * width / 3
+		switch rng.Intn(4) {
+		case 0:
+			c -= Epsilon
+		case 1:
+			c += Epsilon
+		}
+		return c
+	}
+	for len(p.Constraints) < 4+rng.Intn(12) {
+		x, y := clocks[rng.Intn(len(clocks))], clocks[rng.Intn(len(clocks))]
+		switch k := rng.Intn(20); {
+		case k < 7: // clock bound, mostly inside the range
+			switch c := constant(); rng.Intn(6) {
+			case 0:
+				p.AddConstraint(map[string]float64{x: 1}, EQ, c)
+			case 1, 2:
+				p.AddConstraint(map[string]float64{x: 1}, GE, c-width/3)
+			default:
+				p.AddConstraint(map[string]float64{x: 1}, LE, c+width/3)
+			}
+		case k < 9: // program counter, with a unit step for a strict row
+			pc := pcs[rng.Intn(2)]
+			c := float64(rng.Intn(4))
+			if rng.Intn(2) == 0 {
+				p.AddConstraint(map[string]float64{pc: 1}, EQ, c)
+			} else {
+				p.AddConstraint(map[string]float64{pc: 1}, rels[rng.Intn(2)], c-1)
+			}
+		case k < 13: // difference
+			if x != y {
+				p.AddConstraint(map[string]float64{x: 1, y: -1}, rels[rng.Intn(3)], constant()-width/2)
+			}
+		case k < 17: // strict cycle through two or three clocks
+			n := 2 + rng.Intn(2)
+			start := rng.Intn(len(clocks))
+			for i := 0; i < n; i++ {
+				a, b := clocks[(start+i)%len(clocks)], clocks[(start+i+1)%len(clocks)]
+				p.AddConstraint(map[string]float64{a: 1, b: -1}, LE, -Epsilon*float64(1+rng.Intn(2)))
+			}
+		case k < 19: // a clock reset against a program counter
+			p.AddConstraint(map[string]float64{x: 1, pcs[rng.Intn(2)]: -1}, rels[rng.Intn(3)], constant())
+		default: // a sum of clocks, with a zero term
+			z := clocks[rng.Intn(len(clocks))]
+			p.AddConstraint(map[string]float64{x: 1, y: 1, z: 0}, rels[rng.Intn(3)], 2*constant())
+		}
+	}
+	return p
+}
+
+// referenceMismatch compares the compiled propagation, both deletion
+// filters and CheckContext on p with their references, as
+// TestQuickCompiledPropagationMatchesReference does, and describes the
+// first difference ("" when there is none).
+func referenceMismatch(p *Problem) string {
+	s := p.compile()
+	want, refLo, refHi := refPropagateBounds(p.Constraints, p.Lower, p.Upper, propagationRounds)
+	if got := s.propagate(nil); got != want {
+		return fmt.Sprintf("propagate = %v, reference %v", got, want)
+	}
+	for j, v := range s.names {
+		wl, wh := math.Inf(-1), math.Inf(1)
+		if b, ok := refLo[v]; ok {
+			wl = b
+		}
+		if b, ok := refHi[v]; ok {
+			wh = b
+		}
+		if math.Float64bits(s.lo[j]) != math.Float64bits(wl) || math.Float64bits(s.hi[j]) != math.Float64bits(wh) {
+			return fmt.Sprintf("%s in [%v, %v], reference [%v, %v]", v, s.lo[j], s.hi[j], wl, wh)
+		}
+	}
+	wantProp := refIISByPropagation(p)
+	if got := p.IISByPropagation(); !reflect.DeepEqual(got, wantProp) {
+		return fmt.Sprintf("IISByPropagation = %v, reference %v", got, wantProp)
+	}
+	// The reason-cone skip alone, without the final check that would
+	// fall back to testing every row.
+	var tr trail
+	if !s.propagateTrail(nil, &tr) {
+		if got := activeIndices(s.propagationFilter(&tr)); !reflect.DeepEqual(got, wantProp) {
+			return fmt.Sprintf("propagationFilter = %v, reference %v", got, wantProp)
+		}
+	}
+	if got, want := p.IIS(), refIIS(p); !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf("IIS = %v, reference %v", got, want)
+	}
+	res, iis := p.CheckContext(context.Background(), 200)
+	var wantRes Result
+	wantIIS := wantProp
+	if wantIIS != nil {
+		wantRes = Result{Status: Infeasible}
+	} else {
+		wantRes = p.SolveMIPContext(context.Background(), 200).Result
+		if wantRes.Status == Infeasible {
+			wantIIS = refIIS(p)
+		}
+	}
+	if res.Status != wantRes.Status || res.Pivots != wantRes.Pivots || !reflect.DeepEqual(res.X, wantRes.X) || !reflect.DeepEqual(iis, wantIIS) {
+		return fmt.Sprintf("CheckContext = %v/%d pivots/%v, reference %v/%d pivots/%v",
+			res.Status, res.Pivots, iis, wantRes.Status, wantRes.Pivots, wantIIS)
+	}
+	return ""
+}
+
+// TestQuickFischerShapedMatchesReference runs the reference comparison on
+// Fischer-shaped systems, where the propagation filter's reason-cone skip
+// does most of its work, and checks that the draws reach that skip, runs
+// whose cone is not exact, and propagation stopped by propagationRounds.
+func TestQuickFischerShapedMatchesReference(t *testing.T) {
+	var skipped, inexact, late, roundLimited int
+	f := func(seed int64) bool {
+		p := randomFischerProblem(rand.New(rand.NewSource(seed)))
+		if msg := referenceMismatch(p); msg != "" {
+			t.Logf("seed %d: %s", seed, msg)
+			return false
+		}
+		s := p.compile()
+		var tr trail
+		if s.propagateTrail(nil, &tr) {
+			if ok, _, _ := refPropagateBounds(p.Constraints, p.Lower, p.Upper, 20*propagationRounds); !ok {
+				roundLimited++
+			}
+			return true
+		}
+		if ok, _, _ := refPropagateBounds(p.Constraints, p.Lower, p.Upper, propagationRounds/2); ok {
+			late++
+		}
+		if !tr.cone(s.NumRows()) {
+			inexact++
+		} else if slices.Contains(tr.inCone, false) {
+			skipped++
+		}
+		return true
+	}
+	cfg := &quick.Config{MaxCount: 3000, Rand: rand.New(rand.NewSource(1))}
+	if err := quick.Check(f, cfg); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("refutations: %d with rows outside an exact cone, %d inexact, %d after half the rounds; %d stopped by the round limit", skipped, inexact, late, roundLimited)
+	if skipped == 0 || inexact == 0 || late == 0 || roundLimited == 0 {
+		t.Fatal("the draws no longer reach every path of the propagation filter")
+	}
+}
+
+// FuzzPropagationIIS decodes a small system from the fuzzer's bytes and
+// compares propagation, both deletion filters and CheckContext with their
+// references (referenceMismatch).
+func FuzzPropagationIIS(f *testing.F) {
+	f.Add([]byte{1, 1, 2, 0, 0x01, 0, 4, 0x12, 1, 5})
+	f.Add([]byte{2, 2, 2, 2, 0x10, 0, 6, 0x21, 0, 6, 0x02, 0, 6, 0x03, 1, 1})
+	f.Add([]byte{3, 0, 5, 1, 0x0c, 2, 3, 0x1d, 1, 2, 0x33, 0, 0, 0x80, 2, 7, 0x91, 1, 8})
+	f.Add([]byte{6, 6, 4, 3, 0x05, 0, 1, 0x42, 2, 9, 0x10, 1, 10, 0x23, 0, 11, 0xc0, 0, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p := decodeSystem(data)
+		if msg := referenceMismatch(p); msg != "" {
+			t.Fatalf("%s\nrows %v\nbounds %v %v, integer %v", msg, p.Constraints, p.Lower, p.Upper, p.Integer)
+		}
+	})
+}
+
+// decodeSystem reads a system over four variables from data: one byte of
+// bounds per variable, then up to twelve rows of three bytes (shape and
+// variables, relation and coefficient, right-hand side). The values come
+// from small tables of integers, halves, thirds and Epsilon multiples,
+// the constants of the engine's strict-row relaxations.
+func decodeSystem(data []byte) *Problem {
+	vars := []string{"d", "b", "c", "a"}
+	bounds := [][2]float64{
+		{math.Inf(-1), math.Inf(1)}, {0, 1}, {0, 20 * Epsilon}, {-1, 1},
+		{0, math.Inf(1)}, {math.Inf(-1), 2}, {0, 3}, {1, 0.5},
+	}
+	consts := []float64{0, 1, -1, 2, Epsilon, -Epsilon, -2 * Epsilon, 0.5,
+		1.0 / 3, 10 * Epsilon, 1 - Epsilon, -1 - Epsilon, 3, -0.5, 20 * Epsilon, 2 + Epsilon}
+	coeffs := []float64{1, -1, 2, 0.5, -3, 1.0 / 3, 0, 1}
+	p := NewProblem()
+	for i, v := range vars {
+		if i >= len(data) {
+			break
+		}
+		b := bounds[data[i]%byte(len(bounds))]
+		p.SetBounds(v, b[0], b[1])
+		if data[i]&0x80 != 0 {
+			p.MarkInteger(v)
+		}
+	}
+	for k := len(vars); k+2 < len(data) && len(p.Constraints) < 12; k += 3 {
+		shape, rc, rhs := data[k], data[k+1], data[k+2]
+		x, y, z := vars[shape&3], vars[shape>>2&3], vars[shape>>4&3]
+		row := map[string]float64{x: coeffs[rc>>2&7]}
+		switch shape >> 6 {
+		case 1: // difference
+			row[y] = -1
+		case 2: // sum
+			row[y] = 1
+			row[z] = coeffs[rc>>5&7]
+		case 3: // difference with a zero term
+			row[y] = -1
+			row[z] = 0
+		}
+		p.AddConstraint(row, Rel(rc%3), consts[rhs%byte(len(consts))])
+	}
+	return p
 }
