@@ -34,13 +34,25 @@ func (s *Rows) propagateTrail(active []bool, tr *trail) bool {
 	if tr != nil {
 		tr.reset(lo, hi)
 	}
+	// A row's visit is skipped when no bound of its variables changed
+	// since its last visit began: that visit read the same bounds and
+	// changed nothing (a change it made itself would be newer), so the
+	// skip changes no bound, sweep count or verdict. stamp counts bound
+	// changes; varAt and rowAt hold the count at a variable's last change
+	// and at the start of a row's last visit (0: never).
+	s.varAt = resize(s.varAt, len(s.lo0))
+	clear(s.varAt)
+	s.rowAt = resize(s.rowAt, len(s.rows))
+	clear(s.rowAt)
+	stamp := int32(1)
 	const tol = 1e-9
 	for round := 0; round < propagationRounds; round++ {
 		changed := false
 		for ri := range s.rows {
-			if active != nil && !active[ri] {
+			if active != nil && !active[ri] || !s.stale(ri) {
 				continue
 			}
+			s.rowAt[ri] = stamp
 			r := &s.rows[ri]
 			// Row as Σ aᵢxᵢ ≤ bU and/or Σ aᵢxᵢ ≥ bL.
 			var bU, bL float64
@@ -77,6 +89,8 @@ func (s *Rows) propagateTrail(active []bool, tr *trail) bool {
 							if nb < hi[v]-tol {
 								hi[v] = nb
 								changed = true
+								stamp++
+								s.varAt[v] = stamp
 								if tr != nil {
 									tr.setHi[v] = tr.note(ri, r.Terms, k, true)
 								}
@@ -86,6 +100,8 @@ func (s *Rows) propagateTrail(active []bool, tr *trail) bool {
 						} else if nb > lo[v]+tol {
 							lo[v] = nb
 							changed = true
+							stamp++
+							s.varAt[v] = stamp
 							if tr != nil {
 								tr.setLo[v] = tr.note(ri, r.Terms, k, true)
 							}
@@ -103,6 +119,8 @@ func (s *Rows) propagateTrail(active []bool, tr *trail) bool {
 							if nb > lo[v]+tol {
 								lo[v] = nb
 								changed = true
+								stamp++
+								s.varAt[v] = stamp
 								if tr != nil {
 									tr.setLo[v] = tr.note(ri, r.Terms, k, false)
 								}
@@ -112,6 +130,8 @@ func (s *Rows) propagateTrail(active []bool, tr *trail) bool {
 						} else if nb < hi[v]-tol {
 							hi[v] = nb
 							changed = true
+							stamp++
+							s.varAt[v] = stamp
 							if tr != nil {
 								tr.setHi[v] = tr.note(ri, r.Terms, k, false)
 							}
@@ -135,6 +155,21 @@ func (s *Rows) propagateTrail(active []bool, tr *trail) bool {
 		}
 	}
 	return true
+}
+
+// stale reports whether row ri was never visited or a bound of one of
+// its variables changed since its last visit began.
+func (s *Rows) stale(ri int) bool {
+	at := s.rowAt[ri]
+	if at == 0 {
+		return true
+	}
+	for _, t := range s.rows[ri].Terms {
+		if s.varAt[t.Var] > at {
+			return true
+		}
+	}
+	return false
 }
 
 // trail is bound propagation's reason trail. Each bound change is an

@@ -30,8 +30,9 @@ type Rows struct {
 	// whether there is one (possibly empty).
 	obj      []Term
 	minimise bool
-	// lo/hi are propagation scratch.
-	lo, hi []float64
+	// lo/hi, varAt and rowAt are propagation scratch.
+	lo, hi       []float64
+	varAt, rowAt []int32
 }
 
 // Row is Σ Coeff·x[Var] Rel RHS over the row's nonzero terms in variable
