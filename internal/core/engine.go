@@ -907,7 +907,7 @@ func (e *Engine) theoryCheck(ctx context.Context, model []bool) theoryVerdict {
 	// clauses, making seeded runs irreproducible (testkit's
 	// reproduce-a-failing-seed workflow and the portfolio determinism
 	// contract both rely on this).
-	var asserted []assertedAtom
+	asserted := make([]assertedAtom, 0, len(e.bvars))
 	for _, v := range e.bvars {
 		a := e.p.Bindings[v]
 		if model[v] {
@@ -921,7 +921,7 @@ func (e *Engine) theoryCheck(ctx context.Context, model []bool) theoryVerdict {
 	}
 
 	// Partition into linear rows, linear disequalities, and nonlinear atoms.
-	var rows []lp.Constraint
+	rows := make([]lp.Constraint, 0, len(asserted))
 	var neqs []assertedAtom
 	var nonlinear []assertedAtom
 	for _, aa := range asserted {
