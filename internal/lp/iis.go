@@ -124,19 +124,16 @@ func (p *Problem) CheckContext(ctx context.Context, maxNodes int) (Result, []int
 	if iis := s.iisByPropagation(); iis != nil {
 		return Result{Status: Infeasible}, iis
 	}
-	var res Result
-	relaxed := Infeasible // the relaxation's status once res is Infeasible
-	if len(p.Integer) > 0 {
-		var mr MIPResult
-		mr, relaxed = p.solveMIP(ctx, maxNodes)
-		res = mr.Result
-	} else {
-		res = solveRows(ctx, s, nil, p.MaxIter)
-	}
 	// Propagation is known inconclusive here. Without integer variables
-	// the simplex run above is exactly IISContext's proof; with them,
-	// branch-and-bound's root node is the relaxation's solve.
-	if res.Status != Infeasible || relaxed != Infeasible {
+	// the simplex run is exactly IISContext's proof; with them,
+	// branch-and-bound's root node has solved the relaxation.
+	var res Result
+	if len(p.Integer) > 0 {
+		mr, root := p.solveMIP(ctx, maxNodes)
+		if res = mr.Result; res.Status != Infeasible || root != Infeasible {
+			return res, nil
+		}
+	} else if res = solveRows(ctx, s, nil, p.MaxIter); res.Status != Infeasible {
 		return res, nil
 	}
 	return res, p.deletionFilter(ctx, s)
