@@ -1213,15 +1213,14 @@ func dedupLits(lits []int) []int {
 	return out
 }
 
-// checkRows dispatches a weak-row conjunction to the linear plug-in.
+// checkRows dispatches a weak-row conjunction to the linear plug-in. Each
+// row is a literal's memoised row (see linear), tagged with the literal.
 func (e *Engine) checkRows(ctx context.Context, rows []lp.Constraint) LinearVerdict {
 	e.st.LinearChecks++
 	ints := map[string]bool{}
 	for _, r := range rows {
-		for v := range r.Coeffs {
-			if e.intVars[v] {
-				ints[v] = true
-			}
+		for _, v := range e.lin[litSlot(r.Tag)].ints {
+			ints[v] = true
 		}
 	}
 	return e.cfg.Linear.Check(ctx, rows, e.lower, e.upper, ints)
@@ -1275,10 +1274,19 @@ type linLit struct {
 	row   lp.Constraint
 	sides [2]lp.Constraint
 	// vars and coeffs are the form's terms in sorted variable order, and
-	// bound its right-hand side.
+	// bound its right-hand side; ints are the integer-marked vars.
 	vars   []string
 	coeffs []float64
 	bound  float64
+	ints   []string
+}
+
+// litSlot is literal lit's index in Engine.lin.
+func litSlot(lit int) int {
+	if lit < 0 {
+		return -2*lit + 1
+	}
+	return 2 * lit
 }
 
 // linear returns aa's linear form, memoised per literal: theoryCheck,
@@ -1286,10 +1294,7 @@ type linLit struct {
 // rows depend on intVars (integralRow), so bindIncremental drops the memo
 // when it marks a new integer variable.
 func (e *Engine) linear(aa assertedAtom) *linLit {
-	i := 2 * aa.lit
-	if aa.lit < 0 {
-		i = -2*aa.lit + 1
-	}
+	i := litSlot(aa.lit)
 	if i >= len(e.lin) {
 		e.lin = append(e.lin, make([]*linLit, i+1-len(e.lin))...)
 	}
@@ -1303,6 +1308,9 @@ func (e *Engine) linear(aa assertedAtom) *linLit {
 		l.coeffs = make([]float64, len(l.vars))
 		for j, v := range l.vars {
 			l.coeffs[j] = la.Form.Coeffs[v]
+			if e.intVars[v] {
+				l.ints = append(l.ints, v)
+			}
 		}
 		if aa.atom.Op == expr.CmpNE {
 			for j, side := range []expr.CmpOp{expr.CmpLT, expr.CmpGT} {

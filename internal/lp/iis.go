@@ -129,7 +129,7 @@ func (p *Problem) CheckContext(ctx context.Context, maxNodes int) (Result, []int
 	// branch-and-bound's root node has solved the relaxation.
 	var res Result
 	if len(p.Integer) > 0 {
-		mr, root := p.solveMIP(ctx, maxNodes)
+		mr, root := p.solveMIP(ctx, s, maxNodes)
 		if res = mr.Result; res.Status != Infeasible || root != Infeasible {
 			return res, nil
 		}

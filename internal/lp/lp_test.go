@@ -453,3 +453,21 @@ func TestCloneIndependence(t *testing.T) {
 		t.Fatal("Clone shares state with original")
 	}
 }
+
+// TestMIPObjectiveSumsInVariableOrder: an accepted integral point's
+// objective is summed in variable order. With a = b = c = 1 and the
+// objective 1e17·a − 1e17·b + c that order gives exactly 1; a map-order
+// sum gives 0 in some orders.
+func TestMIPObjectiveSumsInVariableOrder(t *testing.T) {
+	for i := 0; i < 50; i++ {
+		p := NewProblem()
+		p.Objective = map[string]float64{"c": 1, "a": 1e17, "b": -1e17}
+		for _, v := range []string{"a", "b", "c"} {
+			p.SetBounds(v, 1, 1)
+			p.MarkInteger(v)
+		}
+		if r := p.SolveMIP(0); r.Status != Feasible || r.Objective != 1 {
+			t.Fatalf("run %d: %v, objective %v, want feasible with objective 1", i, r.Status, r.Objective)
+		}
+	}
+}

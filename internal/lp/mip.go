@@ -3,6 +3,7 @@ package lp
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -31,17 +32,24 @@ func (p *Problem) SolveMIPContext(ctx context.Context, maxNodes int) MIPResult {
 	if len(p.Integer) == 0 {
 		return MIPResult{Result: p.SolveContext(ctx)}
 	}
-	res, _ := p.solveMIP(ctx, maxNodes)
+	res, _ := p.solveMIP(ctx, p.compile(), maxNodes)
 	return res
 }
 
 // solveMIP is SolveMIPContext's branch-and-bound over a p with integer
-// marks. It also returns the status of the root node's LP, the relaxation
-// of p; it is IterLimit when the search stopped before solving the root.
-func (p *Problem) solveMIP(ctx context.Context, maxNodes int) (MIPResult, Status) {
+// marks, whose compiled rows are s. It also returns the status of the root
+// node's LP, the relaxation of p; it is IterLimit when the search stopped
+// before solving the root.
+func (p *Problem) solveMIP(ctx context.Context, s *Rows, maxNodes int) (MIPResult, Status) {
 	if maxNodes == 0 {
 		maxNodes = 200000
 	}
+	// Every node solves s under its own bounds. A node's bound maps name
+	// only p's variables (branching bounds integer-marked ones), so they
+	// index s's variables as compiling the node's Problem would.
+	at := *s
+	at.lo0, at.hi0 = slices.Clone(s.lo0), slices.Clone(s.hi0)
+	at.hasLo, at.hasHi = slices.Clone(s.hasLo), slices.Clone(s.hasHi)
 
 	type node struct {
 		lower map[string]float64
@@ -82,15 +90,8 @@ func (p *Problem) solveMIP(ctx context.Context, maxNodes int) (MIPResult, Status
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 
-		sub := &Problem{
-			Constraints: p.Constraints,
-			Objective:   p.Objective,
-			Lower:       nd.lower,
-			Upper:       nd.upper,
-			Integer:     p.Integer,
-			MaxIter:     p.MaxIter,
-		}
-		r := sub.SolveContext(ctx)
+		at.boundsFrom(nd.lower, nd.upper)
+		r := solveRows(ctx, &at, nil, p.MaxIter)
 		if nodes == 1 {
 			root = r.Status
 		}
@@ -181,9 +182,11 @@ func (p *Problem) solveMIP(ctx context.Context, maxNodes int) (MIPResult, Status
 			}
 			if accepted {
 				if p.Objective != nil {
+					// Summed in variable order, as solveRows sums it,
+					// so the incumbent test cannot flip with map order.
 					obj := 0.0
-					for v, c := range p.Objective {
-						obj += c * r.X[v]
+					for _, e := range s.obj {
+						obj += e.Coeff * r.X[s.names[e.Var]]
 					}
 					r.Objective = obj
 					if best == nil || r.Objective < best.Objective {
