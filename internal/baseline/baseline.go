@@ -255,14 +255,9 @@ func lazySolve(p *core.Problem, cfg lazyConfig) (Result, error) {
 			row.Tag = aa.lit
 			rows = append(rows, row)
 		}
-		prob := lp.NewProblem()
-		prob.Constraints = rows
-		for v, lo := range lower {
-			prob.Lower[v] = lo
-		}
-		for v, hi := range upper {
-			prob.Upper[v] = hi
-		}
+		// CheckContext only reads the bound maps, so they go straight
+		// through.
+		prob := &lp.Problem{Constraints: rows, Lower: lower, Upper: upper}
 		// Tight integration: an infeasible check is minimised to an
 		// irreducible subset before it goes back to the Boolean layer.
 		lr, iis := prob.CheckContext(ctx, 0)

@@ -33,6 +33,41 @@ func (s *stubNonlinear) Check(context.Context, []expr.Atom, expr.Box, expr.Env) 
 	return s.verdict
 }
 
+// outOfRangeIIS wraps SimplexSolver and, on an infeasible check, answers
+// the IIS {0, len(rows)}: one valid row and one index past the rows.
+type outOfRangeIIS struct{ inner *SimplexSolver }
+
+func (s outOfRangeIIS) Name() string { return "out-of-range-iis" }
+func (s outOfRangeIIS) Check(ctx context.Context, rows []lp.Constraint, lower, upper map[string]float64, ints map[string]bool) LinearVerdict {
+	v := s.inner.Check(ctx, rows, lower, upper, ints)
+	if v.Status == lp.Infeasible {
+		v.IIS = []int{0, len(rows)}
+	}
+	return v
+}
+
+// TestOutOfRangeIISBlocksWholeAssignment: an IIS index outside the rows
+// must not be dropped from the conflict clause. Here a ≥ 0 and x ≤ 0 are
+// units and (x ≥ 5 ∨ z ≥ 0) is sat through z; a conflict built from the
+// in-range index alone would be ¬(a ≥ 0), refuting a unit, and the engine
+// would answer unsat.
+func TestOutOfRangeIISBlocksWholeAssignment(t *testing.T) {
+	p := NewProblem()
+	p.AddClause(1)
+	p.AddClause(2)
+	p.AddClause(3, 4)
+	p.Bind(0, atomT(t, "a >= 0", expr.Real))
+	p.Bind(1, atomT(t, "x <= 0", expr.Real))
+	p.Bind(2, atomT(t, "x >= 5", expr.Real))
+	p.Bind(3, atomT(t, "z >= 0", expr.Real))
+	for _, linear := range []LinearSolver{NewSimplexSolver(), outOfRangeIIS{NewSimplexSolver()}} {
+		cfg := Config{NoGroundLemmas: true, Linear: linear}
+		if res := solveP(t, p, cfg); res.Status != StatusSat {
+			t.Fatalf("%s: status = %v, want sat", linear.Name(), res.Status)
+		}
+	}
+}
+
 func TestLinearChainFallsThrough(t *testing.T) {
 	weak := &stubLinear{verdict: LinearVerdict{Status: lp.IterLimit}}
 	strong := &stubLinear{verdict: LinearVerdict{Status: lp.Feasible, X: map[string]float64{"x": 1}}}

@@ -1402,16 +1402,20 @@ func integralRow(la expr.LinearAtom, intVars map[string]bool) bool {
 	return true
 }
 
-// tagsToLits maps IIS row indices back to literals via row tags.
+// tagsToLits maps IIS row indices back to literals via row tags. It
+// returns nil, so the caller blocks the whole assignment, when iis is nil
+// or names an index outside rows: dropping that index would drop a
+// literal from the conflict clause and make it unsound.
 func tagsToLits(rows []lp.Constraint, iis []int) []int {
 	if iis == nil {
 		return nil
 	}
 	out := make([]int, 0, len(iis))
 	for _, i := range iis {
-		if i >= 0 && i < len(rows) {
-			out = append(out, rows[i].Tag)
+		if i < 0 || i >= len(rows) {
+			return nil
 		}
+		out = append(out, rows[i].Tag)
 	}
 	return out
 }

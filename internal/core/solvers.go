@@ -264,8 +264,6 @@ func (c *CDCLSolver) Stats() sat.Stats {
 
 // SimplexSolver adapts package lp to the LinearSolver interface.
 type SimplexSolver struct {
-	// MaxNodes bounds branch-and-bound when integer variables are present.
-	MaxNodes int
 	// Pivots accumulates simplex pivots across calls (work measure).
 	Pivots int
 	Calls  int
@@ -280,14 +278,8 @@ func (s *SimplexSolver) Name() string { return "simplex" }
 // Check implements LinearSolver.
 func (s *SimplexSolver) Check(ctx context.Context, rows []lp.Constraint, lower, upper map[string]float64, ints map[string]bool) LinearVerdict {
 	s.Calls++
-	p := lp.NewProblem()
-	p.Constraints = rows
-	for v, lo := range lower {
-		p.Lower[v] = lo
-	}
-	for v, hi := range upper {
-		p.Upper[v] = hi
-	}
+	// CheckContext only reads the bound maps, so they go straight through.
+	p := &lp.Problem{Constraints: rows, Lower: lower, Upper: upper, Integer: map[string]bool{}}
 	for v, b := range ints {
 		if b {
 			p.MarkInteger(v)
@@ -296,7 +288,7 @@ func (s *SimplexSolver) Check(ctx context.Context, rows []lp.Constraint, lower, 
 	// Cheap refutation first: bound propagation proves most conjunction
 	// conflicts (equality chains) without a simplex run, and the
 	// propagation-only deletion filter minimises them without one either.
-	res, iis := p.CheckContext(ctx, s.MaxNodes)
+	res, iis := p.CheckContext(ctx, 0)
 	s.Pivots += res.Pivots
 	v := LinearVerdict{Status: res.Status, X: res.X, IIS: iis}
 	if res.Status == lp.Infeasible {

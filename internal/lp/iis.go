@@ -21,7 +21,7 @@ func (p *Problem) IIS() []int {
 // (callers treat a nil IIS as "could not minimise").
 func (p *Problem) IISContext(ctx context.Context) []int {
 	s := p.compile()
-	if s.propagate(nil) && solveRows(ctx, s, nil, p.MaxIter).Status != Infeasible {
+	if s.propagate(nil) && solveRows(ctx, s).Status != Infeasible {
 		return nil
 	}
 	return p.deletionFilter(ctx, s)
@@ -29,11 +29,11 @@ func (p *Problem) IISContext(ctx context.Context) []int {
 
 // deletionFilter is IISContext's deletion filter over the compiled rows s
 // of an infeasible p; the caller has already proved the infeasibility.
-// A subset is solved over the bounds alone: no objective, and no column
-// for an integer-marked variable that no remaining row or bound names.
+// A subset is solved over the bounds alone: no column for an
+// integer-marked variable that no remaining row or bound names.
 func (p *Problem) deletionFilter(ctx context.Context, s *Rows) []int {
 	sub := *s
-	sub.keep, sub.obj, sub.minimise = nil, nil, false
+	sub.keep = nil
 	t := tableaus.Get().(*tableau)
 	defer tableaus.Put(t)
 	active := allActive(len(p.Constraints))
@@ -47,7 +47,7 @@ func (p *Problem) deletionFilter(ctx context.Context, s *Rows) []int {
 		// first: CheckContext reaches this filter only after propagation
 		// failed on the full set, and on such systems propagation rarely
 		// refutes a subset.
-		if t.solve(ctx, &sub, active, p.MaxIter) != Infeasible && s.propagate(active) {
+		if t.solve(ctx, &sub, active, 0) != Infeasible && s.propagate(active) {
 			active[i] = true // i is needed for infeasibility
 		}
 	}
@@ -119,6 +119,9 @@ func (s *Rows) propagationFilter(tr *trail) []bool {
 // nil when ctx is cancelled during the filter and when the infeasibility is
 // integrality-driven (the relaxation is feasible, so no row subset of the
 // relaxation conflicts).
+//
+// CheckContext only reads p: its constraints and its Lower, Upper and
+// Integer maps may be the caller's own, passed through without a copy.
 func (p *Problem) CheckContext(ctx context.Context, maxNodes int) (Result, []int) {
 	s := p.compile()
 	if iis := s.iisByPropagation(); iis != nil {
@@ -129,11 +132,11 @@ func (p *Problem) CheckContext(ctx context.Context, maxNodes int) (Result, []int
 	// branch-and-bound's root node has solved the relaxation.
 	var res Result
 	if len(p.Integer) > 0 {
-		mr, root := p.solveMIP(ctx, s, maxNodes)
-		if res = mr.Result; res.Status != Infeasible || root != Infeasible {
+		var root Status
+		if res, root = p.solveMIP(ctx, s, maxNodes); res.Status != Infeasible || root != Infeasible {
 			return res, nil
 		}
-	} else if res = solveRows(ctx, s, nil, p.MaxIter); res.Status != Infeasible {
+	} else if res = solveRows(ctx, s); res.Status != Infeasible {
 		return res, nil
 	}
 	return res, p.deletionFilter(ctx, s)

@@ -1,15 +1,16 @@
 // Package lp implements the linear-constraint solving substrate standing in
-// for COIN in the paper: feasibility checking and optimisation of systems of
-// linear (in)equalities by two-phase primal simplex, extraction of an
-// irreducible infeasible subset (the paper's "smallest conflicting subset
-// ... returned as a hint for further queries to the SAT-solver"), and
-// branch-and-bound for problems with integer variables (the Sudoku
-// encoding's "more involved integer programming sub-problems").
+// for COIN in the paper. It decides feasibility only: whether a system of
+// linear (in)equalities has a solution, by bound propagation and phase-1
+// primal simplex, with a witness point when it has; an irreducible
+// infeasible subset when it has not (the paper's "smallest conflicting
+// subset ... returned as a hint for further queries to the SAT-solver");
+// and branch-and-bound to the first integral point for problems with
+// integer variables (the Sudoku encoding's "more involved integer
+// programming sub-problems").
 package lp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -52,14 +53,14 @@ const FeasTol = 1e-7
 // Status is the outcome of a solve.
 type Status int
 
-// Solve outcomes. Canceled is reported when the context passed to
-// SolveContext / SolveMIPContext is cancelled before a verdict: the partial
-// search proves nothing, so callers must treat it like an indeterminate
-// result and surface ctx.Err().
+// Solve outcomes. IterLimit is reported when the pivot or node budget runs
+// out, or when phase 1 breaks down numerically. Canceled is reported when
+// the context passed to SolveContext / SolveMIPContext is cancelled before
+// a verdict: the partial search proves nothing, so callers must treat it
+// like an indeterminate result and surface ctx.Err().
 const (
 	Feasible Status = iota
 	Infeasible
-	Unbounded
 	IterLimit
 	Canceled
 )
@@ -71,8 +72,6 @@ func (s Status) String() string {
 		return "feasible"
 	case Infeasible:
 		return "infeasible"
-	case Unbounded:
-		return "unbounded"
 	case IterLimit:
 		return "iteration-limit"
 	case Canceled:
@@ -80,9 +79,6 @@ func (s Status) String() string {
 	}
 	return fmt.Sprintf("Status(%d)", int(s))
 }
-
-// ErrIterLimit is returned when simplex exceeds its iteration budget.
-var ErrIterLimit = errors.New("lp: simplex iteration limit exceeded")
 
 // Constraint is one linear row Σ Coeffs[v]·v Rel RHS. The Tag is free for
 // callers (ABsolver stores the Boolean literal the row came from, so the
@@ -92,15 +88,6 @@ type Constraint struct {
 	Rel    Rel
 	RHS    float64
 	Tag    int
-}
-
-// Clone deep-copies the constraint.
-func (c Constraint) Clone() Constraint {
-	m := make(map[string]float64, len(c.Coeffs))
-	for k, v := range c.Coeffs {
-		m[k] = v
-	}
-	return Constraint{Coeffs: m, Rel: c.Rel, RHS: c.RHS, Tag: c.Tag}
 }
 
 // String renders the row.
@@ -153,21 +140,16 @@ func (c Constraint) Satisfied(x map[string]float64) bool {
 	return false
 }
 
-// Problem is a linear feasibility/optimisation problem. Variables are
-// identified by name; all variables are free (−∞, +∞) unless bounds are set.
+// Problem is a linear feasibility problem. Variables are identified by
+// name; all variables are free (−∞, +∞) unless bounds are set.
 type Problem struct {
 	Constraints []Constraint
 	// Integer marks variables that must take integer values; they are
 	// handled by branch-and-bound in SolveMIP.
 	Integer map[string]bool
-	// Objective, when non-nil, is minimised in phase 2 (map of coefficient
-	// by variable). Nil means pure feasibility.
-	Objective map[string]float64
 	// lower/upper variable bounds (absent = unbounded on that side).
 	Lower map[string]float64
 	Upper map[string]float64
-	// MaxIter bounds simplex pivots per phase; 0 means a generous default.
-	MaxIter int
 }
 
 // NewProblem returns an empty problem.
@@ -177,32 +159,6 @@ func NewProblem() *Problem {
 		Lower:   make(map[string]float64),
 		Upper:   make(map[string]float64),
 	}
-}
-
-// Clone deep-copies the problem.
-func (p *Problem) Clone() *Problem {
-	q := NewProblem()
-	q.Constraints = make([]Constraint, len(p.Constraints))
-	for i, c := range p.Constraints {
-		q.Constraints[i] = c.Clone()
-	}
-	for k, v := range p.Integer {
-		q.Integer[k] = v
-	}
-	if p.Objective != nil {
-		q.Objective = make(map[string]float64, len(p.Objective))
-		for k, v := range p.Objective {
-			q.Objective[k] = v
-		}
-	}
-	for k, v := range p.Lower {
-		q.Lower[k] = v
-	}
-	for k, v := range p.Upper {
-		q.Upper[k] = v
-	}
-	q.MaxIter = p.MaxIter
-	return q
 }
 
 // AddConstraint appends a row and returns its index.
@@ -244,9 +200,6 @@ func (p *Problem) Vars() []string {
 	for v := range p.Upper {
 		set[v] = struct{}{}
 	}
-	for v := range p.Objective {
-		set[v] = struct{}{}
-	}
 	for v := range p.Integer {
 		set[v] = struct{}{}
 	}
@@ -261,16 +214,14 @@ func (p *Problem) Vars() []string {
 // Result carries a solve outcome.
 type Result struct {
 	Status Status
-	// X is a satisfying (or optimal) point when Status == Feasible.
+	// X is a satisfying point when Status == Feasible.
 	X map[string]float64
-	// Objective value at X when an objective was set.
-	Objective float64
 	// Pivots is the total number of simplex pivots performed.
 	Pivots int
 }
 
-// Solve checks feasibility of the relaxation (ignoring integrality) and, if
-// an objective is set, optimises it. Use SolveMIP to honour Integer marks.
+// Solve checks feasibility of the relaxation (ignoring integrality). Use
+// SolveMIP to honour Integer marks.
 // A presolve pass absorbs single-variable rows into bounds first; only the
 // residual multi-variable rows reach the simplex.
 func (p *Problem) Solve() Result {
@@ -280,7 +231,7 @@ func (p *Problem) Solve() Result {
 // SolveContext is Solve with cooperative cancellation: the simplex polls
 // ctx between pivots and returns Status Canceled once it is done.
 func (p *Problem) SolveContext(ctx context.Context) Result {
-	return solveRows(ctx, p.compile(), nil, p.MaxIter)
+	return solveRows(ctx, p.compile())
 }
 
 // Verify reports whether x satisfies every constraint and bound of p

@@ -99,71 +99,29 @@ func TestUpperBoundOnly(t *testing.T) {
 	}
 }
 
-func TestOptimizeMin(t *testing.T) {
-	// min x + y  s.t.  x ≥ 1, y ≥ 2 → 3.
-	p := NewProblem()
-	p.Objective = map[string]float64{"x": 1, "y": 1}
-	p.AddConstraint(map[string]float64{"x": 1}, GE, 1)
-	p.AddConstraint(map[string]float64{"y": 1}, GE, 2)
-	r := p.Solve()
-	if r.Status != Feasible {
-		t.Fatalf("status = %v", r.Status)
-	}
-	if math.Abs(r.Objective-3) > 1e-6 {
-		t.Fatalf("objective = %g, want 3", r.Objective)
-	}
-}
-
-func TestOptimizeClassic(t *testing.T) {
-	// Classic LP: max 3x + 5y s.t. x ≤ 4, 2y ≤ 12, 3x + 2y ≤ 18, x,y ≥ 0.
-	// Optimum 36 at (2, 6). Minimise the negation.
-	p := NewProblem()
-	p.Objective = map[string]float64{"x": -3, "y": -5}
-	p.SetBounds("x", 0, math.Inf(1))
-	p.SetBounds("y", 0, math.Inf(1))
-	p.AddConstraint(map[string]float64{"x": 1}, LE, 4)
-	p.AddConstraint(map[string]float64{"y": 2}, LE, 12)
-	p.AddConstraint(map[string]float64{"x": 3, "y": 2}, LE, 18)
-	r := p.Solve()
-	if r.Status != Feasible {
-		t.Fatalf("status = %v", r.Status)
-	}
-	if math.Abs(r.Objective+36) > 1e-6 {
-		t.Fatalf("objective = %g, want -36", r.Objective)
-	}
-	if math.Abs(r.X["x"]-2) > 1e-6 || math.Abs(r.X["y"]-6) > 1e-6 {
-		t.Fatalf("optimum at (%g, %g), want (2, 6)", r.X["x"], r.X["y"])
-	}
-}
-
-func TestUnboundedObjective(t *testing.T) {
-	p := NewProblem()
-	p.Objective = map[string]float64{"x": 1} // min x, x free
-	p.AddConstraint(map[string]float64{"x": 1}, LE, 100)
-	r := p.Solve()
-	if r.Status != Unbounded {
-		t.Fatalf("status = %v", r.Status)
-	}
-}
-
 func TestDegenerateCycleGuard(t *testing.T) {
 	// Beale's cycling example (cycles under naive Dantzig without
-	// anti-cycling): min -0.75x4 + 150x5 - 0.02x6 + 6x7 subject to the
-	// classic rows; Bland's rule must terminate.
+	// anti-cycling) as a feasibility problem: its objective
+	// -0.75x4 + 150x5 - 0.02x6 + 6x7, whose minimum is -0.05, becomes the
+	// row ≤ -0.05, so phase 1 must pivot through the degenerate rows and
+	// Bland's rule must terminate.
 	p := NewProblem()
 	for _, v := range []string{"x4", "x5", "x6", "x7"} {
 		p.SetBounds(v, 0, math.Inf(1))
 	}
-	p.Objective = map[string]float64{"x4": -0.75, "x5": 150, "x6": -0.02, "x7": 6}
 	p.AddConstraint(map[string]float64{"x4": 0.25, "x5": -60, "x6": -0.04, "x7": 9}, LE, 0)
 	p.AddConstraint(map[string]float64{"x4": 0.5, "x5": -90, "x6": -0.02, "x7": 3}, LE, 0)
 	p.AddConstraint(map[string]float64{"x6": 1}, LE, 1)
+	p.AddConstraint(map[string]float64{"x4": -0.75, "x5": 150, "x6": -0.02, "x7": 6}, LE, -0.05)
 	r := p.Solve()
 	if r.Status != Feasible {
 		t.Fatalf("status = %v", r.Status)
 	}
-	if math.Abs(r.Objective-(-0.05)) > 1e-6 {
-		t.Fatalf("objective = %g, want -0.05", r.Objective)
+	if r.Pivots == 0 {
+		t.Fatal("no pivots: the degenerate rows were never pivoted through")
+	}
+	if err := p.Verify(r.X, false); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -332,24 +290,6 @@ func TestMIPSimple(t *testing.T) {
 	}
 }
 
-func TestMIPKnapsackStyle(t *testing.T) {
-	// max 5a + 4b (integers ≥ 0) s.t. 6a + 5b ≤ 17: optimum a=2,b=1 → 14.
-	p := NewProblem()
-	p.Objective = map[string]float64{"a": -5, "b": -4}
-	p.MarkInteger("a")
-	p.MarkInteger("b")
-	p.SetBounds("a", 0, 10)
-	p.SetBounds("b", 0, 10)
-	p.AddConstraint(map[string]float64{"a": 6, "b": 5}, LE, 17)
-	r := p.SolveMIP(0)
-	if r.Status != Feasible {
-		t.Fatalf("status = %v", r.Status)
-	}
-	if math.Abs(r.Objective+14) > 1e-6 {
-		t.Fatalf("objective = %g, want -14 (a=%g b=%g)", r.Objective, r.X["a"], r.X["b"])
-	}
-}
-
 func TestMIPEqualities(t *testing.T) {
 	// a + b = 7, a - b = 2 has no integer solution (a=4.5);
 	// a + b = 8, a - b = 2 does (a=5, b=3).
@@ -439,35 +379,5 @@ func TestConstraintString(t *testing.T) {
 	c := Constraint{Coeffs: map[string]float64{"x": 2, "y": -1}, Rel: LE, RHS: 3}
 	if got := c.String(); got != "2*x + -1*y <= 3" {
 		t.Fatalf("String() = %q", got)
-	}
-}
-
-func TestCloneIndependence(t *testing.T) {
-	p := NewProblem()
-	p.AddConstraint(map[string]float64{"x": 1}, LE, 5)
-	p.SetBounds("x", 0, 10)
-	q := p.Clone()
-	q.Constraints[0].Coeffs["x"] = 99
-	q.SetBounds("x", 1, 2)
-	if p.Constraints[0].Coeffs["x"] != 1 || p.Lower["x"] != 0 {
-		t.Fatal("Clone shares state with original")
-	}
-}
-
-// TestMIPObjectiveSumsInVariableOrder: an accepted integral point's
-// objective is summed in variable order. With a = b = c = 1 and the
-// objective 1e17·a − 1e17·b + c that order gives exactly 1; a map-order
-// sum gives 0 in some orders.
-func TestMIPObjectiveSumsInVariableOrder(t *testing.T) {
-	for i := 0; i < 50; i++ {
-		p := NewProblem()
-		p.Objective = map[string]float64{"c": 1, "a": 1e17, "b": -1e17}
-		for _, v := range []string{"a", "b", "c"} {
-			p.SetBounds(v, 1, 1)
-			p.MarkInteger(v)
-		}
-		if r := p.SolveMIP(0); r.Status != Feasible || r.Objective != 1 {
-			t.Fatalf("run %d: %v, objective %v, want feasible with objective 1", i, r.Status, r.Objective)
-		}
 	}
 }

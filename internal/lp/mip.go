@@ -7,30 +7,23 @@ import (
 	"sort"
 )
 
-// MIPResult extends Result with branch-and-bound statistics.
-type MIPResult struct {
-	Result
-	Nodes int
-}
-
 // intTol is the integrality tolerance of branch-and-bound.
 const intTol = 1e-6
 
 // SolveMIP solves the problem honouring Integer variable marks by LP-based
-// branch-and-bound (depth-first, most-fractional branching). Without an
-// objective the first integral point is returned; with one, the optimum.
-// maxNodes bounds the search (0 = a generous default); exhausting it yields
-// Status IterLimit.
-func (p *Problem) SolveMIP(maxNodes int) MIPResult {
+// branch-and-bound (depth-first, most-fractional branching) and returns the
+// first integral point it finds. maxNodes bounds the search (0 = a
+// generous default); exhausting it yields Status IterLimit.
+func (p *Problem) SolveMIP(maxNodes int) Result {
 	return p.SolveMIPContext(context.Background(), maxNodes)
 }
 
 // SolveMIPContext is SolveMIP with cooperative cancellation: the context is
 // polled at every branch-and-bound node and inside every LP relaxation;
 // once cancelled the search aborts with Status Canceled.
-func (p *Problem) SolveMIPContext(ctx context.Context, maxNodes int) MIPResult {
+func (p *Problem) SolveMIPContext(ctx context.Context, maxNodes int) Result {
 	if len(p.Integer) == 0 {
-		return MIPResult{Result: p.SolveContext(ctx)}
+		return p.SolveContext(ctx)
 	}
 	res, _ := p.solveMIP(ctx, p.compile(), maxNodes)
 	return res
@@ -40,7 +33,7 @@ func (p *Problem) SolveMIPContext(ctx context.Context, maxNodes int) MIPResult {
 // marks, whose compiled rows are s. It also returns the status of the root
 // node's LP, the relaxation of p; it is IterLimit when the search stopped
 // before solving the root.
-func (p *Problem) solveMIP(ctx context.Context, s *Rows, maxNodes int) (MIPResult, Status) {
+func (p *Problem) solveMIP(ctx context.Context, s *Rows, maxNodes int) (Result, Status) {
 	if maxNodes == 0 {
 		maxNodes = 200000
 	}
@@ -75,7 +68,6 @@ func (p *Problem) solveMIP(ctx context.Context, s *Rows, maxNodes int) (MIPResul
 	stack := []node{{lower: copyBounds(p.Lower), upper: copyBounds(p.Upper)}}
 	nodes := 0
 	root := IterLimit
-	var best *Result
 	hitLimit := false
 
 	for len(stack) > 0 {
@@ -84,31 +76,25 @@ func (p *Problem) solveMIP(ctx context.Context, s *Rows, maxNodes int) (MIPResul
 			break
 		}
 		if ctx.Err() != nil {
-			return MIPResult{Result: Result{Status: Canceled}, Nodes: nodes}, root
+			return Result{Status: Canceled}, root
 		}
 		nodes++
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 
 		at.boundsFrom(nd.lower, nd.upper)
-		r := solveRows(ctx, &at, nil, p.MaxIter)
+		r := solveRows(ctx, &at)
 		if nodes == 1 {
 			root = r.Status
 		}
 		switch r.Status {
 		case Infeasible:
 			continue
-		case Unbounded:
-			// An unbounded relaxation of a feasibility problem still needs
-			// an integral witness; round the relaxation's point and branch.
 		case IterLimit:
 			hitLimit = true
 			continue
 		case Canceled:
-			return MIPResult{Result: Result{Status: Canceled}, Nodes: nodes}, root
-		}
-		if best != nil && p.Objective != nil && r.Objective >= best.Objective-1e-9 {
-			continue // bound: relaxation cannot beat incumbent
+			return Result{Status: Canceled}, root
 		}
 
 		// Find the most fractional integer variable.
@@ -132,73 +118,52 @@ func (p *Problem) solveMIP(ctx context.Context, s *Rows, maxNodes int) (MIPResul
 			for v := range p.Integer {
 				snapped[v] = math.Round(snapped[v])
 			}
-			accepted := false
 			if err := p.Verify(snapped, true); err == nil {
 				r.X = snapped
-				accepted = true
-			} else {
-				// Snapping perturbed a tight constraint. Re-examine
-				// fractionality at a much tighter tolerance first: an
-				// ε-strict row can leave an integer variable at k+1e-6 —
-				// within intTol yet genuinely fractional, so branching on
-				// it makes real progress (k and k+1 are different boxes).
-				for _, v := range intVars {
-					frac := math.Abs(r.X[v] - math.Round(r.X[v]))
-					if frac > 1e-9 && (branchVar == "" || frac > worst) {
-						worst = frac
-						branchVar = v
-					}
-				}
-				if branchVar == "" {
-					// Exactly integral yet infeasible after snapping:
-					// re-solve the continuous variables with the integers
-					// fixed to their rounded values; if even that fails
-					// the node is abandoned (a numerical fluke).
-					fixed := &Problem{
-						Constraints: p.Constraints,
-						Objective:   p.Objective,
-						Lower:       copyBounds(nd.lower),
-						Upper:       copyBounds(nd.upper),
-						Integer:     p.Integer,
-						MaxIter:     p.MaxIter,
-					}
-					for v := range p.Integer {
-						fixed.Lower[v] = snapped[v]
-						fixed.Upper[v] = snapped[v]
-					}
-					fr := fixed.SolveContext(ctx)
-					if fr.Status != Feasible {
-						continue
-					}
-					r.X = fr.X
-					for v := range p.Integer {
-						r.X[v] = math.Round(r.X[v])
-					}
-					if err := p.Verify(r.X, true); err != nil {
-						continue
-					}
-					accepted = true
+				return r, root
+			}
+			// Snapping perturbed a tight constraint. Re-examine
+			// fractionality at a much tighter tolerance first: an
+			// ε-strict row can leave an integer variable at k+1e-6 —
+			// within intTol yet genuinely fractional, so branching on
+			// it makes real progress (k and k+1 are different boxes).
+			for _, v := range intVars {
+				frac := math.Abs(r.X[v] - math.Round(r.X[v]))
+				if frac > 1e-9 && (branchVar == "" || frac > worst) {
+					worst = frac
+					branchVar = v
 				}
 			}
-			if accepted {
-				if p.Objective != nil {
-					// Summed in variable order, as solveRows sums it,
-					// so the incumbent test cannot flip with map order.
-					obj := 0.0
-					for _, e := range s.obj {
-						obj += e.Coeff * r.X[s.names[e.Var]]
-					}
-					r.Objective = obj
-					if best == nil || r.Objective < best.Objective {
-						cp := r
-						best = &cp
-					}
+			if branchVar == "" {
+				// Exactly integral yet infeasible after snapping:
+				// re-solve the continuous variables with the integers
+				// fixed to their rounded values; if even that fails
+				// the node is abandoned (a numerical fluke).
+				fixed := &Problem{
+					Constraints: p.Constraints,
+					Lower:       copyBounds(nd.lower),
+					Upper:       copyBounds(nd.upper),
+					Integer:     p.Integer,
+				}
+				for v := range p.Integer {
+					fixed.Lower[v] = snapped[v]
+					fixed.Upper[v] = snapped[v]
+				}
+				fr := fixed.SolveContext(ctx)
+				if fr.Status != Feasible {
 					continue
 				}
-				return MIPResult{Result: r, Nodes: nodes}, root
+				r.X = fr.X
+				for v := range p.Integer {
+					r.X[v] = math.Round(r.X[v])
+				}
+				if err := p.Verify(r.X, true); err != nil {
+					continue
+				}
+				return r, root
 			}
-			// Not accepted: branchVar now names a tight-tolerance
-			// fractional variable to branch on.
+			// branchVar now names a tight-tolerance fractional variable
+			// to branch on.
 		}
 
 		f := r.X[branchVar]
@@ -227,11 +192,8 @@ func (p *Problem) solveMIP(ctx context.Context, s *Rows, maxNodes int) (MIPResul
 		pushIfBoxNonempty(down) // explored first (LIFO)
 	}
 
-	if best != nil {
-		return MIPResult{Result: *best, Nodes: nodes}, root
-	}
 	if hitLimit {
-		return MIPResult{Result: Result{Status: IterLimit}, Nodes: nodes}, root
+		return Result{Status: IterLimit}, root
 	}
-	return MIPResult{Result: Result{Status: Infeasible}, Nodes: nodes}, root
+	return Result{Status: Infeasible}, root
 }

@@ -239,7 +239,7 @@ func TestQuickCompiledPropagationMatchesReference(t *testing.T) {
 		if wantIIS != nil {
 			wantRes = Result{Status: Infeasible}
 		} else {
-			wantRes = p.SolveMIPContext(context.Background(), 200).Result
+			wantRes = p.SolveMIPContext(context.Background(), 200)
 			if wantRes.Status == Infeasible {
 				wantIIS = refIIS(p)
 			}
@@ -275,7 +275,6 @@ func (p *Problem) solveRowsContext(ctx context.Context, rows []Constraint) Resul
 	q.Constraints = rows
 	q.Lower = p.Lower
 	q.Upper = p.Upper
-	q.MaxIter = p.MaxIter
 	return q.SolveContext(ctx)
 }
 
@@ -409,7 +408,7 @@ func referenceMismatch(p *Problem) string {
 	if wantIIS != nil {
 		wantRes = Result{Status: Infeasible}
 	} else {
-		wantRes = p.SolveMIPContext(context.Background(), 200).Result
+		wantRes = p.SolveMIPContext(context.Background(), 200)
 		if wantRes.Status == Infeasible {
 			wantIIS = refIIS(p)
 		}

@@ -75,7 +75,7 @@ func TestQuickIISIsInfeasibleSubset(t *testing.T) {
 		// Subset infeasible?
 		sub := NewProblem()
 		for _, i := range iis {
-			sub.Constraints = append(sub.Constraints, p.Constraints[i].Clone())
+			sub.Constraints = append(sub.Constraints, p.Constraints[i])
 		}
 		if sub.Solve().Status != Infeasible {
 			return false
@@ -85,7 +85,7 @@ func TestQuickIISIsInfeasibleSubset(t *testing.T) {
 			q := NewProblem()
 			for j, i := range iis {
 				if j != drop {
-					q.Constraints = append(q.Constraints, p.Constraints[i].Clone())
+					q.Constraints = append(q.Constraints, p.Constraints[i])
 				}
 			}
 			if q.Solve().Status == Infeasible {
@@ -183,7 +183,7 @@ func solveWithoutPresolve(p *Problem) Status {
 	for i := range r.rows {
 		t.live = append(t.live, i)
 	}
-	t.build(p.MaxIter)
+	t.build(0)
 	return t.run()
 }
 

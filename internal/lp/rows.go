@@ -24,12 +24,8 @@ type Rows struct {
 	lo0, hi0     []float64
 	hasLo, hasHi []bool
 	// keep marks variables that get a column even when unbounded and in
-	// no row: the objective's and the integer-marked ones.
+	// no row: the integer-marked ones.
 	keep []bool
-	// obj is the objective over variable indexes; minimise reports
-	// whether there is one (possibly empty).
-	obj      []Term
-	minimise bool
 	// lo/hi, varAt and rowAt are propagation scratch.
 	lo, hi       []float64
 	varAt, rowAt []int32
@@ -67,7 +63,6 @@ func (r *Rows) Reset(n int) {
 		r.hasLo[j], r.hasHi[j] = false, false
 	}
 	r.keep = nil
-	r.obj, r.minimise = nil, false
 }
 
 // SetBounds sets lo ≤ x[j] ≤ hi, as Problem.SetBounds does for a name:
@@ -155,20 +150,11 @@ func (p *Problem) compile() *Rows {
 		j := index[v]
 		r.hi0[j], r.hasHi[j] = b, true
 	}
-	if len(p.Objective) > 0 || len(p.Integer) > 0 {
+	if len(p.Integer) > 0 {
 		r.keep = make([]bool, n)
 	}
 	for v := range p.Integer {
 		r.keep[index[v]] = true
-	}
-	if p.Objective != nil {
-		r.minimise = true
-		for j, v := range vars {
-			if c, ok := p.Objective[v]; ok {
-				r.obj = append(r.obj, Term{Var: j, Coeff: c})
-				r.keep[j] = true
-			}
-		}
 	}
 	return r
 }

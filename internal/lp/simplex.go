@@ -13,7 +13,7 @@ const cancelPollEvery = 32
 // pivotTol is the minimum magnitude of an eligible pivot element.
 const pivotTol = 1e-9
 
-// costTol is the reduced-cost tolerance for optimality.
+// costTol is the reduced-cost tolerance of phase 1's optimality test.
 const costTol = 1e-9
 
 // colKind describes how a tableau column maps back to a problem variable.
@@ -34,18 +34,18 @@ type column struct {
 	shift float64 // see kind
 }
 
-// Simplex is a reusable dense two-phase primal simplex. Its buffers (the
-// dense slab, the right-hand side, the basis, both cost rows and the pivot
-// scratch) grow to the largest problem solved and are reused by the next
-// Solve, so a caller solving many LPs of similar size (a PolyAR worker, one
-// region after another) allocates nothing per LP. A Simplex is not safe
-// for concurrent use.
+// Simplex is a reusable dense phase-1 primal simplex: it decides
+// feasibility and finds a point, optimising nothing. Its buffers (the
+// dense slab, the right-hand side, the basis, the phase-1 cost row and the
+// pivot scratch) grow to the largest problem solved and are reused by the
+// next Solve, so a caller solving many LPs of similar size (a PolyAR
+// worker, one region after another) allocates nothing per LP. A Simplex is
+// not safe for concurrent use.
 type Simplex struct{ t tableau }
 
-// Solve decides r, minimising its objective if it has one, after the
-// presolve that folds unit rows into bounds. maxIter bounds pivots per
-// phase; 0 means a default scaled to the problem. The context is polled
-// between pivots.
+// Solve decides r after the presolve that folds unit rows into bounds.
+// maxIter bounds pivots; 0 means a default scaled to the problem. The
+// context is polled between pivots.
 func (s *Simplex) Solve(ctx context.Context, r *Rows, maxIter int) Status {
 	return s.t.solve(ctx, r, nil, maxIter)
 }
@@ -54,19 +54,19 @@ func (s *Simplex) Solve(ctx context.Context, r *Rows, maxIter int) Status {
 func (s *Simplex) Pivots() int { return s.t.pivots }
 
 // Value returns variable j's value after a Feasible Solve, and whether the
-// variable had a column (a variable with no bound, no live row and no
-// objective term has none).
+// variable had a column (a variable with no bound and no live row has
+// none).
 func (s *Simplex) Value(j int) (float64, bool) { return s.t.x[j], s.t.has[j] }
 
 // tableaus recycles the tableaus of Problem solves across calls.
 var tableaus = sync.Pool{New: func() any { return new(tableau) }}
 
-// solveRows solves the active rows of r (all when active is nil) with a
-// pooled tableau and maps the outcome back to names.
-func solveRows(ctx context.Context, r *Rows, active []bool, maxIter int) Result {
+// solveRows solves the rows of r with a pooled tableau and the default
+// pivot budget, and maps the outcome back to names.
+func solveRows(ctx context.Context, r *Rows) Result {
 	t := tableaus.Get().(*tableau)
 	defer tableaus.Put(t)
-	res := Result{Status: t.solve(ctx, r, active, maxIter), Pivots: t.pivots}
+	res := Result{Status: t.solve(ctx, r, nil, 0), Pivots: t.pivots}
 	if res.Status != Feasible {
 		return res
 	}
@@ -76,13 +76,10 @@ func solveRows(ctx context.Context, r *Rows, active []bool, maxIter int) Result 
 			res.X[v] = t.x[j]
 		}
 	}
-	for _, e := range r.obj {
-		res.Objective += e.Coeff * t.x[e.Var]
-	}
 	return res
 }
 
-// tableau is a dense two-phase primal simplex tableau over one Rows.
+// tableau is a dense phase-1 primal simplex tableau over one Rows.
 type tableau struct {
 	r *Rows
 
@@ -103,8 +100,7 @@ type tableau struct {
 	rhs   []float64 // length m, kept ≥ 0 by construction
 	basis []int     // basic column per row
 
-	cost  []float64 // phase-2 reduced costs (real objective)
-	wcost []float64 // phase-1 reduced costs (artificial objective)
+	wcost []float64 // phase-1 reduced costs (sum of the artificials)
 
 	support []int     // nonzero columns of the pivot row, other than the pivot column
 	pivRow  []float64 // the pivot row's entries at support
@@ -137,7 +133,7 @@ type stdTerm struct {
 }
 
 // solve presolves the active rows of r (all when active is nil), builds
-// the tableau and runs both phases.
+// the tableau and runs phase 1.
 func (t *tableau) solve(ctx context.Context, r *Rows, active []bool, maxIter int) Status {
 	t.r, t.ctx, t.pivots = r, ctx, 0
 	t.has = resize(t.has, len(r.lo0))
@@ -266,9 +262,7 @@ func (t *tableau) build(maxIter int) {
 	t.width = nc
 	t.rhs = resize(t.rhs, m)
 	t.basis = resize(t.basis, m)
-	t.cost = resize(t.cost, nc)
 	t.wcost = resize(t.wcost, nc)
-	clear(t.cost)
 	for j, col := range t.cols {
 		t.wcost[j] = 0
 		if col.kind == colArtificial {
@@ -303,20 +297,6 @@ func (t *tableau) build(maxIter int) {
 		}
 	}
 
-	// Phase-2 cost row: real objective (minimisation), mapped to columns.
-	for _, e := range r.obj {
-		k := t.colOf[e.Var]
-		switch t.cols[k].kind {
-		case colShifted:
-			t.cost[k] += e.Coeff
-		case colNegated:
-			t.cost[k] -= e.Coeff
-		case colPlus:
-			t.cost[k] += e.Coeff
-			t.cost[k+1] -= e.Coeff
-		}
-	}
-
 	// Phase-1 cost row: sum of artificials, priced out over the initial
 	// basis (each artificial is basic, so subtract its row). A row's
 	// nonzeros are its terms, its slack and its artificial; subtracting
@@ -335,10 +315,6 @@ func (t *tableau) build(maxIter int) {
 		}
 		t.wcost[s.art] -= row[s.art]
 	}
-	// The real cost row is already priced out over the initial basis: slack
-	// and artificial basics carry zero phase-2 cost, and every later pivot
-	// updates both cost rows. The objective value itself is recomputed from
-	// the extracted point, so no constant term is tracked here.
 }
 
 // row returns row i of the matrix.
@@ -352,7 +328,7 @@ func (t *tableau) appendCol(c column) int {
 }
 
 // pivot performs a pivot on (row, col). Only the pivot row's nonzero
-// columns change in the other rows and the cost rows: every entry they
+// columns change in the other rows and the cost row: every entry they
 // update gets the arithmetic of a dense sweep, and every other entry
 // would have had zero subtracted from it.
 func (t *tableau) pivot(row, col int) {
@@ -389,22 +365,19 @@ func (t *tableau) pivot(row, col int) {
 			t.rhs[i] = 0
 		}
 	}
-	for _, costRow := range [2][]float64{t.cost, t.wcost} {
-		f := costRow[col]
-		if f == 0 {
-			continue
-		}
+	if f := t.wcost[col]; f != 0 {
 		for n, j := range sup {
-			costRow[j] -= f * rv[n]
+			t.wcost[j] -= f * rv[n]
 		}
-		costRow[col] = 0
+		t.wcost[col] = 0
 	}
 	t.basis[row] = col
 }
 
-// phase runs simplex to optimality over the given reduced-cost row.
-// banned marks columns that may not enter (artificials in phase 2).
-func (t *tableau) phase(costRow []float64, banned func(int) bool) Status {
+// phase runs phase 1: simplex to optimality over the artificials' cost
+// row. The phase-1 objective is bounded below by 0, so a column with no
+// leaving row signals a numerical breakdown and ends the run as IterLimit.
+func (t *tableau) phase() Status {
 	for {
 		if t.pivots > t.maxIter {
 			return IterLimit
@@ -414,11 +387,8 @@ func (t *tableau) phase(costRow []float64, banned func(int) bool) Status {
 		}
 		// Bland's rule: smallest-index column with negative reduced cost.
 		enter := -1
-		for j := range costRow {
-			if banned != nil && banned(j) {
-				continue
-			}
-			if costRow[j] < -costTol {
+		for j, c := range t.wcost {
+			if c < -costTol {
 				enter = j
 				break
 			}
@@ -441,13 +411,13 @@ func (t *tableau) phase(costRow []float64, banned func(int) bool) Status {
 			}
 		}
 		if leave == -1 {
-			return Unbounded
+			return IterLimit
 		}
 		t.pivot(leave, enter)
 	}
 }
 
-// objValue returns the current phase-1 infeasibility (sum of artificial
+// phase1Value returns the current phase-1 infeasibility (sum of artificial
 // basic values).
 func (t *tableau) phase1Value() float64 {
 	s := 0.0
@@ -459,17 +429,11 @@ func (t *tableau) phase1Value() float64 {
 	return s
 }
 
-// run executes both phases and, when Feasible, leaves the point in t.x.
+// run executes phase 1 and, when Feasible, leaves the point in t.x.
 func (t *tableau) run() Status {
 	if t.nArtificial > 0 {
-		st := t.phase(t.wcost, nil)
-		if st == IterLimit || st == Canceled {
+		if st := t.phase(); st != Feasible {
 			return st
-		}
-		if st == Unbounded {
-			// Phase-1 objective is bounded below by 0; unbounded signals a
-			// numerical breakdown. Treat as iteration limit.
-			return IterLimit
 		}
 		if t.phase1Value() > 1e-6 {
 			return Infeasible
@@ -488,14 +452,6 @@ func (t *tableau) run() Status {
 					break
 				}
 			}
-		}
-	}
-
-	banned := func(j int) bool { return t.cols[j].kind == colArtificial }
-	if t.r.minimise {
-		switch st := t.phase(t.cost, banned); st {
-		case IterLimit, Canceled, Unbounded:
-			return st
 		}
 	}
 

@@ -316,7 +316,7 @@ func (s *solver) process(ctx context.Context, box expr.Box, g *region) outcome {
 		}
 	case lp.Canceled:
 		return outcome{canceled: true}
-		// Unbounded/IterLimit: can't prune, can't certify — bisect.
+		// IterLimit: can't prune, can't certify — bisect.
 	}
 
 	v, ok := s.bisectVar(box)
