@@ -8,8 +8,8 @@
 // The package is a façade over the engine and its substrates:
 //
 //   - a CDCL SAT solver with AllSAT enumeration (internal/sat),
-//   - a two-phase simplex with IIS extraction and branch-and-bound
-//     (internal/lp),
+//   - a linear feasibility checker: bound propagation, phase-1 simplex,
+//     IIS extraction and branch-and-bound (internal/lp),
 //   - a nonlinear feasibility solver combining interval constraint
 //     propagation with multi-start penalty descent (internal/nlp),
 //   - the 3-valued circuit representation (internal/circuit),

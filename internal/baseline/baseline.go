@@ -260,7 +260,7 @@ func lazySolve(p *core.Problem, cfg lazyConfig) (Result, error) {
 		prob := &lp.Problem{Constraints: rows, Lower: lower, Upper: upper}
 		// Tight integration: an infeasible check is minimised to an
 		// irreducible subset before it goes back to the Boolean layer.
-		lr, iis := prob.CheckContext(ctx, 0)
+		lr, iis := prob.CheckContext(ctx)
 		switch lr.Status {
 		case lp.Canceled:
 			return Result{Status: core.StatusUnknown, Stats: st}, ErrTimeout

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"math"
 	"testing"
 	"time"
 
@@ -221,6 +222,25 @@ func TestIntegerInfeasibleGap(t *testing.T) {
 	res := solveP(t, p, Config{})
 	if res.Status != StatusUnsat {
 		t.Fatalf("status = %v", res.Status)
+	}
+}
+
+// TestIntegerSubToleranceFraction: the relaxation puts n at 1.0000000005,
+// whose snapped point n = 1 breaks 1000n − y = 0. Branch-and-bound must
+// branch on n rather than abandon the node; n = 2, y = 2000 is a model.
+func TestIntegerSubToleranceFraction(t *testing.T) {
+	for _, cfg := range []Config{{}, {NoGroundLemmas: true}, {CheckModels: true}} {
+		p := NewProblem()
+		p.AddClause(1)
+		p.AddClause(2)
+		p.AddClause(3)
+		p.Bind(0, atomT(t, "n >= 0", expr.Int))
+		p.Bind(1, atomT(t, "1000*n - y = 0", expr.Real))
+		p.Bind(2, atomT(t, "y >= 1000.0000005", expr.Real))
+		p.SetBounds("n", 0, 10)
+		if m := requireSat(t, p, cfg); m.Real["n"] != math.Round(m.Real["n"]) {
+			t.Fatalf("%+v: n = %g is not integral", cfg, m.Real["n"])
+		}
 	}
 }
 

@@ -145,16 +145,6 @@ func (p *Problem) Counts() (clauses, boolVars, linear, nonlinear int) {
 	return
 }
 
-// HasNonlinear reports whether any bound atom is nonlinear.
-func (p *Problem) HasNonlinear() bool {
-	for _, a := range p.Bindings {
-		if !expr.IsLinear(a) {
-			return true
-		}
-	}
-	return false
-}
-
 // FromCircuit converts a circuit formula into an AB problem via Tseitin
 // transformation, preserving atom bindings. Background bounds must be added
 // by the caller.

@@ -80,9 +80,8 @@ type NonlinearVerdict struct {
 
 // CDCLSolver adapts the internal CDCL solver to the BoolSolver interface.
 type CDCLSolver struct {
-	s       *sat.Solver
-	clauses [][]int
-	nv      int
+	s  *sat.Solver
+	nv int
 	// frozen lists 0-based variables exempt from inprocessing; replayed
 	// into every fresh sat.Solver on Reset (sessions freeze their frame
 	// selectors so inprocessing can never strengthen a guard away).
@@ -103,7 +102,7 @@ func (c *CDCLSolver) Name() string { return "cdcl" }
 // Reset implements BoolSolver.
 func (c *CDCLSolver) Reset(numVars int, clauses [][]int) error {
 	if c.s != nil {
-		c.accumulate()
+		c.Accum.Add(c.s.Stats)
 	}
 	c.s = sat.New()
 	c.s.Inprocess = !c.noInprocess
@@ -112,28 +111,12 @@ func (c *CDCLSolver) Reset(numVars int, clauses [][]int) error {
 		c.s.Freeze(v)
 	}
 	c.nv = numVars
-	c.clauses = c.clauses[:0]
 	for _, cl := range clauses {
 		if err := c.AddBlocking(cl); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (c *CDCLSolver) accumulate() {
-	st := c.s.Stats
-	c.Accum.Decisions += st.Decisions
-	c.Accum.Propagations += st.Propagations
-	c.Accum.Conflicts += st.Conflicts
-	c.Accum.Restarts += st.Restarts
-	c.Accum.Learnt += st.Learnt
-	c.Accum.DeletedLearnt += st.DeletedLearnt
-	c.Accum.SolveCalls += st.SolveCalls
-	c.Accum.ClausesSubsumed += st.ClausesSubsumed
-	c.Accum.ProbedLiterals += st.ProbedLiterals
-	c.Accum.FailedLiterals += st.FailedLiterals
-	c.Accum.ArenaCompactions += st.ArenaCompactions
 }
 
 // Solve implements BoolSolver.
@@ -205,7 +188,6 @@ func (c *CDCLSolver) AddBlocking(clause []int) error {
 		lits[i] = sat.FromDIMACS(n)
 	}
 	c.s.AddClause(lits...)
-	c.clauses = append(c.clauses, clause)
 	return nil
 }
 
@@ -243,18 +225,7 @@ func (c *CDCLSolver) SetInprocess(on bool) {
 func (c *CDCLSolver) Stats() sat.Stats {
 	st := c.Accum
 	if c.s != nil {
-		live := c.s.Stats
-		st.Decisions += live.Decisions
-		st.Propagations += live.Propagations
-		st.Conflicts += live.Conflicts
-		st.Restarts += live.Restarts
-		st.Learnt += live.Learnt
-		st.DeletedLearnt += live.DeletedLearnt
-		st.SolveCalls += live.SolveCalls
-		st.ClausesSubsumed += live.ClausesSubsumed
-		st.ProbedLiterals += live.ProbedLiterals
-		st.FailedLiterals += live.FailedLiterals
-		st.ArenaCompactions += live.ArenaCompactions
+		st.Add(c.s.Stats)
 	}
 	return st
 }
@@ -288,7 +259,7 @@ func (s *SimplexSolver) Check(ctx context.Context, rows []lp.Constraint, lower, 
 	// Cheap refutation first: bound propagation proves most conjunction
 	// conflicts (equality chains) without a simplex run, and the
 	// propagation-only deletion filter minimises them without one either.
-	res, iis := p.CheckContext(ctx, 0)
+	res, iis := p.CheckContext(ctx)
 	s.Pivots += res.Pivots
 	v := LinearVerdict{Status: res.Status, X: res.X, IIS: iis}
 	if res.Status == lp.Infeasible {

@@ -2,42 +2,27 @@ package lp
 
 import "context"
 
-// IIS computes an irreducible infeasible subset of the problem's
-// constraints by the deletion filter: every constraint is tentatively
-// removed, and kept out when the remainder is still infeasible. The result
-// is the paper's "smallest conflicting subset ... computed and returned as
-// a hint for further queries to the SAT-solver" — irreducible (no proper
-// subset of the returned rows is infeasible together with the variable
-// bounds), though not necessarily of globally minimum cardinality.
+// deletionFilter computes an irreducible infeasible subset of the rows of
+// an infeasible s, which the caller has already proved, by the deletion
+// filter: every row is tentatively removed, and kept out when the
+// remainder is still infeasible. The result is the paper's "smallest
+// conflicting subset ... computed and returned as a hint for further
+// queries to the SAT-solver" — irreducible (no proper subset of the
+// returned rows is infeasible together with the variable bounds), though
+// not necessarily of globally minimum cardinality. Variable bounds are
+// treated as background theory and are never removed.
 //
-// The problem must be infeasible; if it is not, IIS returns nil. Variable
-// bounds are treated as background theory and are never removed.
-func (p *Problem) IIS() []int {
-	return p.IISContext(context.Background())
-}
-
-// IISContext is IIS with cooperative cancellation: the deletion filter
+// A subset is solved over the bounds alone: no column for an
+// integer-marked variable that no remaining row or bound names. The filter
 // checks ctx between removal tests and returns nil once it is cancelled
 // (callers treat a nil IIS as "could not minimise").
-func (p *Problem) IISContext(ctx context.Context) []int {
-	s := p.compile()
-	if s.propagate(nil) && solveRows(ctx, s).Status != Infeasible {
-		return nil
-	}
-	return p.deletionFilter(ctx, s)
-}
-
-// deletionFilter is IISContext's deletion filter over the compiled rows s
-// of an infeasible p; the caller has already proved the infeasibility.
-// A subset is solved over the bounds alone: no column for an
-// integer-marked variable that no remaining row or bound names.
-func (p *Problem) deletionFilter(ctx context.Context, s *Rows) []int {
+func (s *Rows) deletionFilter(ctx context.Context) []int {
 	sub := *s
 	sub.keep = nil
 	t := tableaus.Get().(*tableau)
 	defer tableaus.Put(t)
-	active := allActive(len(p.Constraints))
-	for i := range p.Constraints {
+	active := allActive(len(s.rows))
+	for i := range s.rows {
 		if ctx.Err() != nil {
 			return nil
 		}
@@ -54,19 +39,16 @@ func (p *Problem) deletionFilter(ctx context.Context, s *Rows) []int {
 	return activeIndices(active)
 }
 
-// IISByPropagation computes an infeasible subset using only the bound
-// propagation oracle: constraints are removed while propagation still
-// refutes the remainder. The result is sound (a genuinely conflicting
-// subset) and cheap to obtain, though possibly reducible — deletions that
-// leave propagation inconclusive are kept even if a simplex run could
-// discard them. Returns nil when propagation cannot refute the full set.
-func (p *Problem) IISByPropagation() []int {
-	return p.compile().iisByPropagation()
-}
-
-// iisByPropagation runs the propagation filter with reason-cone skipping,
-// then confirms with one more propagation that the rows it kept still
-// refute; if they did not, it would rerun the filter testing every row.
+// iisByPropagation computes an infeasible subset using only the bound
+// propagation oracle: rows are removed while propagation still refutes
+// the remainder. The result is sound (a genuinely conflicting subset) and
+// cheap to obtain, though possibly reducible — deletions that leave
+// propagation inconclusive are kept even if a simplex run could discard
+// them. It returns nil when propagation cannot refute the full set.
+//
+// It runs the propagation filter with reason-cone skipping, then confirms
+// with one more propagation that the rows it kept still refute; if they
+// did not, it would rerun the filter testing every row.
 func (s *Rows) iisByPropagation() []int {
 	tr := trails.Get().(*trail)
 	defer trails.Put(tr)
@@ -109,37 +91,35 @@ func (s *Rows) propagationFilter(tr *trail) []bool {
 //   - bound propagation first: when it refutes the rows, the
 //     propagation-only deletion filter minimises the conflict and no
 //     simplex runs at all (Result carries no pivots);
-//   - otherwise simplex, or branch-and-bound with maxNodes when integer
-//     variables are marked;
-//   - on Infeasible, the deletion filter of IISContext, without proving
-//     the infeasibility a second time: branch-and-bound's root node has
-//     already solved the relaxation.
+//   - otherwise simplex, or branch-and-bound over the same rows when
+//     integer variables are marked (maxNodes nodes at most);
+//   - on Infeasible, the deletion filter, without proving the
+//     infeasibility a second time: the simplex run, or branch-and-bound's
+//     root node, has already solved the relaxation.
 //
 // The returned subset is nil unless the Result is Infeasible. It is also
 // nil when ctx is cancelled during the filter and when the infeasibility is
 // integrality-driven (the relaxation is feasible, so no row subset of the
-// relaxation conflicts).
+// relaxation conflicts). Status Canceled means ctx was cancelled before a
+// verdict.
 //
 // CheckContext only reads p: its constraints and its Lower, Upper and
 // Integer maps may be the caller's own, passed through without a copy.
-func (p *Problem) CheckContext(ctx context.Context, maxNodes int) (Result, []int) {
+func (p *Problem) CheckContext(ctx context.Context) (Result, []int) {
 	s := p.compile()
 	if iis := s.iisByPropagation(); iis != nil {
 		return Result{Status: Infeasible}, iis
 	}
-	// Propagation is known inconclusive here. Without integer variables
-	// the simplex run is exactly IISContext's proof; with them,
-	// branch-and-bound's root node has solved the relaxation.
 	var res Result
 	if len(p.Integer) > 0 {
 		var root Status
-		if res, root = p.solveMIP(ctx, s, maxNodes); res.Status != Infeasible || root != Infeasible {
+		if res, root = p.solveMIP(ctx, s); res.Status != Infeasible || root != Infeasible {
 			return res, nil
 		}
 	} else if res = solveRows(ctx, s); res.Status != Infeasible {
 		return res, nil
 	}
-	return res, p.deletionFilter(ctx, s)
+	return res, s.deletionFilter(ctx)
 }
 
 func allActive(n int) []bool {

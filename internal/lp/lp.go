@@ -6,11 +6,16 @@
 // subset ... returned as a hint for further queries to the SAT-solver");
 // and branch-and-bound to the first integral point for problems with
 // integer variables (the Sudoku encoding's "more involved integer
-// programming sub-problems").
+// programming sub-problems"), each node solved over the compiled rows
+// under its own copy of their bounds.
+//
+// It has two doors, one per kind of caller. Problem.CheckContext is the
+// lazy engine's linear check: it compiles a Problem's maps into Rows once
+// and runs every stage over them. Simplex.Solve decides Rows a caller
+// fills itself (PolyAR's region LPs), reusing one tableau across solves.
 package lp
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -55,7 +60,7 @@ type Status int
 
 // Solve outcomes. IterLimit is reported when the pivot or node budget runs
 // out, or when phase 1 breaks down numerically. Canceled is reported when
-// the context passed to SolveContext / SolveMIPContext is cancelled before
+// the context passed to CheckContext or Simplex.Solve is cancelled before
 // a verdict: the partial search proves nothing, so callers must treat it
 // like an indeterminate result and surface ctx.Err().
 const (
@@ -145,7 +150,7 @@ func (c Constraint) Satisfied(x map[string]float64) bool {
 type Problem struct {
 	Constraints []Constraint
 	// Integer marks variables that must take integer values; they are
-	// handled by branch-and-bound in SolveMIP.
+	// handled by branch-and-bound in CheckContext.
 	Integer map[string]bool
 	// lower/upper variable bounds (absent = unbounded on that side).
 	Lower map[string]float64
@@ -159,13 +164,6 @@ func NewProblem() *Problem {
 		Lower:   make(map[string]float64),
 		Upper:   make(map[string]float64),
 	}
-}
-
-// AddConstraint appends a row and returns its index.
-func (p *Problem) AddConstraint(coeffs map[string]float64, rel Rel, rhs float64) int {
-	c := Constraint{Coeffs: coeffs, Rel: rel, RHS: rhs, Tag: len(p.Constraints)}
-	p.Constraints = append(p.Constraints, c)
-	return len(p.Constraints) - 1
 }
 
 // SetBounds sets lo ≤ v ≤ hi. Use math.Inf for one-sided bounds.
@@ -218,20 +216,6 @@ type Result struct {
 	X map[string]float64
 	// Pivots is the total number of simplex pivots performed.
 	Pivots int
-}
-
-// Solve checks feasibility of the relaxation (ignoring integrality). Use
-// SolveMIP to honour Integer marks.
-// A presolve pass absorbs single-variable rows into bounds first; only the
-// residual multi-variable rows reach the simplex.
-func (p *Problem) Solve() Result {
-	return p.SolveContext(context.Background())
-}
-
-// SolveContext is Solve with cooperative cancellation: the simplex polls
-// ctx between pivots and returns Status Canceled once it is done.
-func (p *Problem) SolveContext(ctx context.Context) Result {
-	return solveRows(ctx, p.compile())
 }
 
 // Verify reports whether x satisfies every constraint and bound of p

@@ -1,17 +1,45 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
 )
 
+// add appends a row tagged with its index.
+func (p *Problem) add(coeffs map[string]float64, rel Rel, rhs float64) {
+	p.Constraints = append(p.Constraints, Constraint{Coeffs: coeffs, Rel: rel, RHS: rhs, Tag: len(p.Constraints)})
+}
+
+// solve decides p's relaxation, ignoring integrality.
+func solve(p *Problem) Result { return solveRows(context.Background(), p.compile()) }
+
+// solveInt decides p, which marks integer variables, by branch-and-bound.
+func solveInt(p *Problem) Result {
+	res, _ := p.solveMIP(context.Background(), p.compile())
+	return res
+}
+
+// simplexIIS is the deletion filter over p's rows; nil when neither
+// propagation nor simplex refutes them.
+func simplexIIS(p *Problem) []int {
+	s := p.compile()
+	if s.propagate(nil) && solveRows(context.Background(), s).Status != Infeasible {
+		return nil
+	}
+	return s.deletionFilter(context.Background())
+}
+
+// refuted reports whether bound propagation alone refutes p.
+func refuted(p *Problem) bool { return !p.compile().propagate(nil) }
+
 func TestFeasibleSimple(t *testing.T) {
 	p := NewProblem()
-	p.AddConstraint(map[string]float64{"x": 1, "y": 1}, LE, 10)
-	p.AddConstraint(map[string]float64{"x": 1}, GE, 2)
-	p.AddConstraint(map[string]float64{"y": 1}, GE, 3)
-	r := p.Solve()
+	p.add(map[string]float64{"x": 1, "y": 1}, LE, 10)
+	p.add(map[string]float64{"x": 1}, GE, 2)
+	p.add(map[string]float64{"y": 1}, GE, 3)
+	r := solve(p)
 	if r.Status != Feasible {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -22,9 +50,9 @@ func TestFeasibleSimple(t *testing.T) {
 
 func TestInfeasibleSimple(t *testing.T) {
 	p := NewProblem()
-	p.AddConstraint(map[string]float64{"x": 1}, GE, 5)
-	p.AddConstraint(map[string]float64{"x": 1}, LE, 4)
-	r := p.Solve()
+	p.add(map[string]float64{"x": 1}, GE, 5)
+	p.add(map[string]float64{"x": 1}, LE, 4)
+	r := solve(p)
 	if r.Status != Infeasible {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -33,9 +61,9 @@ func TestInfeasibleSimple(t *testing.T) {
 func TestEqualitySystem(t *testing.T) {
 	// x + y = 4, x - y = 2 → x=3, y=1.
 	p := NewProblem()
-	p.AddConstraint(map[string]float64{"x": 1, "y": 1}, EQ, 4)
-	p.AddConstraint(map[string]float64{"x": 1, "y": -1}, EQ, 2)
-	r := p.Solve()
+	p.add(map[string]float64{"x": 1, "y": 1}, EQ, 4)
+	p.add(map[string]float64{"x": 1, "y": -1}, EQ, 2)
+	r := solve(p)
 	if r.Status != Feasible {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -46,9 +74,9 @@ func TestEqualitySystem(t *testing.T) {
 
 func TestInconsistentEqualities(t *testing.T) {
 	p := NewProblem()
-	p.AddConstraint(map[string]float64{"x": 1, "y": 1}, EQ, 4)
-	p.AddConstraint(map[string]float64{"x": 1, "y": 1}, EQ, 5)
-	if r := p.Solve(); r.Status != Infeasible {
+	p.add(map[string]float64{"x": 1, "y": 1}, EQ, 4)
+	p.add(map[string]float64{"x": 1, "y": 1}, EQ, 5)
+	if r := solve(p); r.Status != Infeasible {
 		t.Fatalf("status = %v", r.Status)
 	}
 }
@@ -56,9 +84,9 @@ func TestInconsistentEqualities(t *testing.T) {
 func TestFreeVariables(t *testing.T) {
 	// Free variables may need to go negative: x + y = -10, x - y = 0.
 	p := NewProblem()
-	p.AddConstraint(map[string]float64{"x": 1, "y": 1}, EQ, -10)
-	p.AddConstraint(map[string]float64{"x": 1, "y": -1}, EQ, 0)
-	r := p.Solve()
+	p.add(map[string]float64{"x": 1, "y": 1}, EQ, -10)
+	p.add(map[string]float64{"x": 1, "y": -1}, EQ, 0)
+	r := solve(p)
 	if r.Status != Feasible {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -70,8 +98,8 @@ func TestFreeVariables(t *testing.T) {
 func TestBounds(t *testing.T) {
 	p := NewProblem()
 	p.SetBounds("x", -7, 7)
-	p.AddConstraint(map[string]float64{"x": 1}, GE, 6)
-	r := p.Solve()
+	p.add(map[string]float64{"x": 1}, GE, 6)
+	r := solve(p)
 	if r.Status != Feasible {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -80,8 +108,8 @@ func TestBounds(t *testing.T) {
 	}
 	p2 := NewProblem()
 	p2.SetBounds("x", -7, 7)
-	p2.AddConstraint(map[string]float64{"x": 1}, GE, 8)
-	if r := p2.Solve(); r.Status != Infeasible {
+	p2.add(map[string]float64{"x": 1}, GE, 8)
+	if r := solve(p2); r.Status != Infeasible {
 		t.Fatalf("status = %v", r.Status)
 	}
 }
@@ -89,8 +117,8 @@ func TestBounds(t *testing.T) {
 func TestUpperBoundOnly(t *testing.T) {
 	p := NewProblem()
 	p.SetBounds("x", math.Inf(-1), -3)
-	p.AddConstraint(map[string]float64{"x": 1}, LE, -5)
-	r := p.Solve()
+	p.add(map[string]float64{"x": 1}, LE, -5)
+	r := solve(p)
 	if r.Status != Feasible {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -109,11 +137,11 @@ func TestDegenerateCycleGuard(t *testing.T) {
 	for _, v := range []string{"x4", "x5", "x6", "x7"} {
 		p.SetBounds(v, 0, math.Inf(1))
 	}
-	p.AddConstraint(map[string]float64{"x4": 0.25, "x5": -60, "x6": -0.04, "x7": 9}, LE, 0)
-	p.AddConstraint(map[string]float64{"x4": 0.5, "x5": -90, "x6": -0.02, "x7": 3}, LE, 0)
-	p.AddConstraint(map[string]float64{"x6": 1}, LE, 1)
-	p.AddConstraint(map[string]float64{"x4": -0.75, "x5": 150, "x6": -0.02, "x7": 6}, LE, -0.05)
-	r := p.Solve()
+	p.add(map[string]float64{"x4": 0.25, "x5": -60, "x6": -0.04, "x7": 9}, LE, 0)
+	p.add(map[string]float64{"x4": 0.5, "x5": -90, "x6": -0.02, "x7": 3}, LE, 0)
+	p.add(map[string]float64{"x6": 1}, LE, 1)
+	p.add(map[string]float64{"x4": -0.75, "x5": 150, "x6": -0.02, "x7": 6}, LE, -0.05)
+	r := solve(p)
 	if r.Status != Feasible {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -127,7 +155,7 @@ func TestDegenerateCycleGuard(t *testing.T) {
 
 func TestEmptyProblem(t *testing.T) {
 	p := NewProblem()
-	r := p.Solve()
+	r := solve(p)
 	if r.Status != Feasible {
 		t.Fatalf("empty problem must be feasible, got %v", r.Status)
 	}
@@ -135,16 +163,16 @@ func TestEmptyProblem(t *testing.T) {
 
 func TestZeroRowFeasible(t *testing.T) {
 	p := NewProblem()
-	p.AddConstraint(map[string]float64{}, LE, 5) // 0 ≤ 5
-	if r := p.Solve(); r.Status != Feasible {
+	p.add(map[string]float64{}, LE, 5) // 0 ≤ 5
+	if r := solve(p); r.Status != Feasible {
 		t.Fatalf("status = %v", r.Status)
 	}
 }
 
 func TestZeroRowInfeasible(t *testing.T) {
 	p := NewProblem()
-	p.AddConstraint(map[string]float64{}, GE, 5) // 0 ≥ 5
-	if r := p.Solve(); r.Status != Infeasible {
+	p.add(map[string]float64{}, GE, 5) // 0 ≥ 5
+	if r := solve(p); r.Status != Infeasible {
 		t.Fatalf("status = %v", r.Status)
 	}
 }
@@ -175,14 +203,14 @@ func TestRandomFeasibleByConstruction(t *testing.T) {
 			}
 			switch rng.Intn(3) {
 			case 0:
-				p.AddConstraint(coeffs, LE, lhs+rng.Float64())
+				p.add(coeffs, LE, lhs+rng.Float64())
 			case 1:
-				p.AddConstraint(coeffs, GE, lhs-rng.Float64())
+				p.add(coeffs, GE, lhs-rng.Float64())
 			case 2:
-				p.AddConstraint(coeffs, EQ, lhs)
+				p.add(coeffs, EQ, lhs)
 			}
 		}
-		r := p.Solve()
+		r := solve(p)
 		if r.Status != Feasible {
 			t.Fatalf("iter %d: known-feasible system reported %v", iter, r.Status)
 		}
@@ -203,18 +231,18 @@ func TestRandomInfeasibleByConstruction(t *testing.T) {
 			coeffs[v] = rng.Float64()*4 - 2
 		}
 		bound := rng.Float64() * 10
-		p.AddConstraint(coeffs, GE, bound+1)
+		p.add(coeffs, GE, bound+1)
 		neg := map[string]float64{}
 		for v, c := range coeffs {
 			neg[v] = c
 		}
-		p.AddConstraint(neg, LE, bound)
+		p.add(neg, LE, bound)
 		// Noise rows.
 		for i := 0; i < rng.Intn(5); i++ {
 			cs := map[string]float64{vars[rng.Intn(len(vars))]: rng.Float64()*2 - 1}
-			p.AddConstraint(cs, LE, rng.Float64()*100)
+			p.add(cs, LE, rng.Float64()*100)
 		}
-		if r := p.Solve(); r.Status != Infeasible {
+		if r := solve(p); r.Status != Infeasible {
 			t.Fatalf("iter %d: contradictory system reported %v", iter, r.Status)
 		}
 	}
@@ -222,11 +250,11 @@ func TestRandomInfeasibleByConstruction(t *testing.T) {
 
 func TestIISMinimal(t *testing.T) {
 	p := NewProblem()
-	p.AddConstraint(map[string]float64{"x": 1}, LE, 10) // 0: harmless
-	p.AddConstraint(map[string]float64{"x": 1}, GE, 5)  // 1: conflicts with 2
-	p.AddConstraint(map[string]float64{"x": 1}, LE, 4)  // 2
-	p.AddConstraint(map[string]float64{"y": 1}, GE, 0)  // 3: harmless
-	iis := p.IIS()
+	p.add(map[string]float64{"x": 1}, LE, 10) // 0: harmless
+	p.add(map[string]float64{"x": 1}, GE, 5)  // 1: conflicts with 2
+	p.add(map[string]float64{"x": 1}, LE, 4)  // 2
+	p.add(map[string]float64{"y": 1}, GE, 0)  // 3: harmless
+	iis := simplexIIS(p)
 	if len(iis) != 2 || iis[0] != 1 || iis[1] != 2 {
 		t.Fatalf("IIS = %v, want [1 2]", iis)
 	}
@@ -234,8 +262,8 @@ func TestIISMinimal(t *testing.T) {
 
 func TestIISOnFeasible(t *testing.T) {
 	p := NewProblem()
-	p.AddConstraint(map[string]float64{"x": 1}, LE, 10)
-	if iis := p.IIS(); iis != nil {
+	p.add(map[string]float64{"x": 1}, LE, 10)
+	if iis := simplexIIS(p); iis != nil {
 		t.Fatalf("IIS of feasible problem = %v, want nil", iis)
 	}
 }
@@ -243,11 +271,11 @@ func TestIISOnFeasible(t *testing.T) {
 func TestIISIsIrreducible(t *testing.T) {
 	// Chain x ≥ y+1, y ≥ z+1, z ≥ x+1 is infeasible only all together.
 	p := NewProblem()
-	p.AddConstraint(map[string]float64{"x": 1, "y": -1}, GE, 1)
-	p.AddConstraint(map[string]float64{"y": 1, "z": -1}, GE, 1)
-	p.AddConstraint(map[string]float64{"z": 1, "x": -1}, GE, 1)
-	p.AddConstraint(map[string]float64{"w": 1}, LE, 100) // irrelevant
-	iis := p.IIS()
+	p.add(map[string]float64{"x": 1, "y": -1}, GE, 1)
+	p.add(map[string]float64{"y": 1, "z": -1}, GE, 1)
+	p.add(map[string]float64{"z": 1, "x": -1}, GE, 1)
+	p.add(map[string]float64{"w": 1}, LE, 100) // irrelevant
+	iis := simplexIIS(p)
 	if len(iis) != 3 {
 		t.Fatalf("IIS = %v, want the 3-cycle", iis)
 	}
@@ -264,7 +292,7 @@ func TestIISIsIrreducible(t *testing.T) {
 				q.Constraints = append(q.Constraints, c)
 			}
 		}
-		if r := q.Solve(); r.Status != Feasible {
+		if r := solve(q); r.Status != Feasible {
 			t.Fatalf("dropping %d should be feasible", drop)
 		}
 	}
@@ -275,13 +303,13 @@ func TestMIPSimple(t *testing.T) {
 	p := NewProblem()
 	p.MarkInteger("x")
 	p.SetBounds("x", 1.2, 1.8)
-	if r := p.SolveMIP(0); r.Status != Infeasible {
+	if r := solveInt(p); r.Status != Infeasible {
 		t.Fatalf("status = %v", r.Status)
 	}
 	p2 := NewProblem()
 	p2.MarkInteger("x")
 	p2.SetBounds("x", 1.2, 2.3)
-	r := p2.SolveMIP(0)
+	r := solveInt(p2)
 	if r.Status != Feasible {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -298,9 +326,9 @@ func TestMIPEqualities(t *testing.T) {
 	p.MarkInteger("b")
 	p.SetBounds("a", -100, 100)
 	p.SetBounds("b", -100, 100)
-	p.AddConstraint(map[string]float64{"a": 1, "b": 1}, EQ, 7)
-	p.AddConstraint(map[string]float64{"a": 1, "b": -1}, EQ, 2)
-	if r := p.SolveMIP(0); r.Status != Infeasible {
+	p.add(map[string]float64{"a": 1, "b": 1}, EQ, 7)
+	p.add(map[string]float64{"a": 1, "b": -1}, EQ, 2)
+	if r := solveInt(p); r.Status != Infeasible {
 		t.Fatalf("status = %v, want infeasible", r.Status)
 	}
 	p2 := NewProblem()
@@ -308,9 +336,9 @@ func TestMIPEqualities(t *testing.T) {
 	p2.MarkInteger("b")
 	p2.SetBounds("a", -100, 100)
 	p2.SetBounds("b", -100, 100)
-	p2.AddConstraint(map[string]float64{"a": 1, "b": 1}, EQ, 8)
-	p2.AddConstraint(map[string]float64{"a": 1, "b": -1}, EQ, 2)
-	r := p2.SolveMIP(0)
+	p2.add(map[string]float64{"a": 1, "b": 1}, EQ, 8)
+	p2.add(map[string]float64{"a": 1, "b": -1}, EQ, 2)
+	r := solveInt(p2)
 	if r.Status != Feasible {
 		t.Fatalf("status = %v", r.Status)
 	}
@@ -337,7 +365,7 @@ func TestRandomMIPAgainstEnumeration(t *testing.T) {
 				coeffs[v] = float64(rng.Intn(7) - 3)
 			}
 			rel := []Rel{LE, GE, EQ}[rng.Intn(3)]
-			p.AddConstraint(coeffs, rel, float64(rng.Intn(13)-6))
+			p.add(coeffs, rel, float64(rng.Intn(13)-6))
 		}
 		want := false
 	enum:
@@ -362,7 +390,7 @@ func TestRandomMIPAgainstEnumeration(t *testing.T) {
 				}
 			}
 		}
-		r := p.SolveMIP(0)
+		r := solveInt(p)
 		got := r.Status == Feasible
 		if got != want {
 			t.Fatalf("iter %d: MIP says %v, enumeration says %v\n%v", iter, r.Status, want, p.Constraints)

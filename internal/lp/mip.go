@@ -4,68 +4,46 @@ import (
 	"context"
 	"math"
 	"slices"
-	"sort"
 )
 
 // intTol is the integrality tolerance of branch-and-bound.
 const intTol = 1e-6
 
-// SolveMIP solves the problem honouring Integer variable marks by LP-based
-// branch-and-bound (depth-first, most-fractional branching) and returns the
-// first integral point it finds. maxNodes bounds the search (0 = a
-// generous default); exhausting it yields Status IterLimit.
-func (p *Problem) SolveMIP(maxNodes int) Result {
-	return p.SolveMIPContext(context.Background(), maxNodes)
+// maxNodes bounds the branch-and-bound search; exhausting it yields
+// Status IterLimit.
+const maxNodes = 200000
+
+// bounds is one branch-and-bound node: the four bound slices of Rows.
+type bounds struct {
+	lo, hi       []float64
+	hasLo, hasHi []bool
 }
 
-// SolveMIPContext is SolveMIP with cooperative cancellation: the context is
-// polled at every branch-and-bound node and inside every LP relaxation;
-// once cancelled the search aborts with Status Canceled.
-func (p *Problem) SolveMIPContext(ctx context.Context, maxNodes int) Result {
-	if len(p.Integer) == 0 {
-		return p.SolveContext(ctx)
-	}
-	res, _ := p.solveMIP(ctx, p.compile(), maxNodes)
-	return res
+func (b bounds) clone() bounds {
+	return bounds{slices.Clone(b.lo), slices.Clone(b.hi), slices.Clone(b.hasLo), slices.Clone(b.hasHi)}
 }
 
-// solveMIP is SolveMIPContext's branch-and-bound over a p with integer
-// marks, whose compiled rows are s. It also returns the status of the root
+// solveMIP is LP-based branch-and-bound (depth-first, most-fractional
+// branching) over a p with integer marks, whose compiled rows are s. It
+// returns the first integral point it finds. The context is polled at
+// every node and inside every LP relaxation; once cancelled the search
+// aborts with Status Canceled. It also returns the status of the root
 // node's LP, the relaxation of p; it is IterLimit when the search stopped
 // before solving the root.
-func (p *Problem) solveMIP(ctx context.Context, s *Rows, maxNodes int) (Result, Status) {
-	if maxNodes == 0 {
-		maxNodes = 200000
-	}
-	// Every node solves s under its own bounds. A node's bound maps name
-	// only p's variables (branching bounds integer-marked ones), so they
-	// index s's variables as compiling the node's Problem would.
+func (p *Problem) solveMIP(ctx context.Context, s *Rows) (Result, Status) {
+	// Every node solves s under its own bounds. The candidates are the
+	// integer-marked variables in index order, which is sorted-name
+	// order, so ties break the same way on every run.
 	at := *s
-	at.lo0, at.hi0 = slices.Clone(s.lo0), slices.Clone(s.hi0)
-	at.hasLo, at.hasHi = slices.Clone(s.hasLo), slices.Clone(s.hasHi)
-
-	type node struct {
-		lower map[string]float64
-		upper map[string]float64
-	}
-	copyBounds := func(m map[string]float64) map[string]float64 {
-		c := make(map[string]float64, len(m)+1)
-		for k, v := range m {
-			c[k] = v
+	var ints []int
+	for j, k := range s.keep {
+		if k {
+			ints = append(ints, j)
 		}
-		return c
 	}
+	set := func(b bounds) { at.lo0, at.hi0, at.hasLo, at.hasHi = b.lo, b.hi, b.hasLo, b.hasHi }
 
-	// Branch-variable candidates in sorted order: iterating the Integer
-	// map directly would break ties nondeterministically, making the
-	// search tree (and with it the returned witness) vary run to run.
-	intVars := make([]string, 0, len(p.Integer))
-	for v := range p.Integer {
-		intVars = append(intVars, v)
-	}
-	sort.Strings(intVars)
-
-	stack := []node{{lower: copyBounds(p.Lower), upper: copyBounds(p.Upper)}}
+	stack := []bounds{bounds{s.lo0, s.hi0, s.hasLo, s.hasHi}.clone()}
 	nodes := 0
 	root := IterLimit
 	hitLimit := false
@@ -82,7 +60,7 @@ func (p *Problem) solveMIP(ctx context.Context, s *Rows, maxNodes int) (Result, 
 		nd := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
 
-		at.boundsFrom(nd.lower, nd.upper)
+		set(nd)
 		r := solveRows(ctx, &at)
 		if nodes == 1 {
 			root = r.Status
@@ -98,98 +76,86 @@ func (p *Problem) solveMIP(ctx context.Context, s *Rows, maxNodes int) (Result, 
 		}
 
 		// Find the most fractional integer variable.
-		branchVar := ""
+		branch := -1
 		worst := intTol
-		for _, v := range intVars {
-			f := r.X[v]
+		for _, j := range ints {
+			f := r.X[s.names[j]]
 			frac := math.Abs(f - math.Round(f))
 			if frac > worst {
 				worst = frac
-				branchVar = v
+				branch = j
 			}
 		}
-		if branchVar == "" {
+		if branch < 0 {
 			// Integral solution (within intTol). Snap values exactly and
 			// verify.
 			snapped := make(map[string]float64, len(r.X))
 			for k, v := range r.X {
 				snapped[k] = v
 			}
-			for v := range p.Integer {
-				snapped[v] = math.Round(snapped[v])
+			for _, j := range ints {
+				snapped[s.names[j]] = math.Round(snapped[s.names[j]])
 			}
 			if err := p.Verify(snapped, true); err == nil {
 				r.X = snapped
 				return r, root
 			}
-			// Snapping perturbed a tight constraint. Re-examine
-			// fractionality at a much tighter tolerance first: an
-			// ε-strict row can leave an integer variable at k+1e-6 —
-			// within intTol yet genuinely fractional, so branching on
-			// it makes real progress (k and k+1 are different boxes).
-			for _, v := range intVars {
-				frac := math.Abs(r.X[v] - math.Round(r.X[v]))
-				if frac > 1e-9 && (branchVar == "" || frac > worst) {
+			// Snapping perturbed a tight constraint. Branch on any integer
+			// variable that is not exactly integral: an ε-strict row can
+			// leave one at k+1e-6, within intTol yet genuinely
+			// fractional, and floor and ceil still partition the node's
+			// integer points however small the fraction.
+			for _, j := range ints {
+				f := r.X[s.names[j]]
+				frac := math.Abs(f - math.Round(f))
+				if frac > 0 && (branch < 0 || frac > worst) {
 					worst = frac
-					branchVar = v
+					branch = j
 				}
 			}
-			if branchVar == "" {
+			if branch < 0 {
 				// Exactly integral yet infeasible after snapping:
 				// re-solve the continuous variables with the integers
-				// fixed to their rounded values; if even that fails
-				// the node is abandoned (a numerical fluke).
-				fixed := &Problem{
-					Constraints: p.Constraints,
-					Lower:       copyBounds(nd.lower),
-					Upper:       copyBounds(nd.upper),
-					Integer:     p.Integer,
+				// fixed to their values; if even that fails the node is
+				// abandoned (a numerical fluke).
+				fixed := nd.clone()
+				for _, j := range ints {
+					v := snapped[s.names[j]]
+					fixed.lo[j], fixed.hi[j] = v, v
+					fixed.hasLo[j], fixed.hasHi[j] = true, true
 				}
-				for v := range p.Integer {
-					fixed.Lower[v] = snapped[v]
-					fixed.Upper[v] = snapped[v]
-				}
-				fr := fixed.SolveContext(ctx)
+				set(fixed)
+				fr := solveRows(ctx, &at)
 				if fr.Status != Feasible {
 					continue
 				}
 				r.X = fr.X
-				for v := range p.Integer {
-					r.X[v] = math.Round(r.X[v])
+				for _, j := range ints {
+					r.X[s.names[j]] = math.Round(r.X[s.names[j]])
 				}
 				if err := p.Verify(r.X, true); err != nil {
 					continue
 				}
 				return r, root
 			}
-			// branchVar now names a tight-tolerance fractional variable
-			// to branch on.
 		}
 
-		f := r.X[branchVar]
-		lo := copyBounds(nd.lower)
-		hi := copyBounds(nd.upper)
-		// Down branch: x ≤ floor(f)
-		down := node{lower: lo, upper: copyBounds(nd.upper)}
-		if cur, ok := down.upper[branchVar]; !ok || math.Floor(f) < cur {
-			down.upper[branchVar] = math.Floor(f)
+		f := r.X[s.names[branch]]
+		// Up branch: x ≥ ceil(f); down branch, in the node's own slices:
+		// x ≤ floor(f).
+		up, down := nd.clone(), nd
+		if !up.hasLo[branch] || math.Ceil(f) > up.lo[branch] {
+			up.lo[branch], up.hasLo[branch] = math.Ceil(f), true
 		}
-		// Up branch: x ≥ ceil(f)
-		up := node{lower: copyBounds(nd.lower), upper: hi}
-		if cur, ok := up.lower[branchVar]; !ok || math.Ceil(f) > cur {
-			up.lower[branchVar] = math.Ceil(f)
+		if !down.hasHi[branch] || math.Floor(f) < down.hi[branch] {
+			down.hi[branch], down.hasHi[branch] = math.Floor(f), true
 		}
 		// Prune empty boxes.
-		pushIfBoxNonempty := func(n node) {
-			if l, okL := n.lower[branchVar]; okL {
-				if u, okU := n.upper[branchVar]; okU && l > u {
-					return
-				}
+		for _, b := range []bounds{up, down} { // down explored first (LIFO)
+			if !(b.hasLo[branch] && b.hasHi[branch] && b.lo[branch] > b.hi[branch]) {
+				stack = append(stack, b)
 			}
-			stack = append(stack, n)
 		}
-		pushIfBoxNonempty(up)
-		pushIfBoxNonempty(down) // explored first (LIFO)
 	}
 
 	if hitLimit {

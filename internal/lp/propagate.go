@@ -274,9 +274,3 @@ func (tr *trail) cone(n int) bool {
 	tr.stack = stack
 	return tr.exact
 }
-
-// RefutedByPropagation reports whether bound propagation alone proves the
-// problem's rows infeasible under its variable bounds.
-func (p *Problem) RefutedByPropagation() bool {
-	return !p.compile().propagate(nil)
-}

@@ -3,6 +3,7 @@ package lp
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -135,15 +136,14 @@ func refIISByPropagation(p *Problem) []int {
 }
 
 func refIIS(p *Problem) []int {
-	ctx := context.Background()
-	if ok, _, _ := refPropagateBounds(p.Constraints, p.Lower, p.Upper, propagationRounds); ok && p.SolveContext(ctx).Status != Infeasible {
+	if ok, _, _ := refPropagateBounds(p.Constraints, p.Lower, p.Upper, propagationRounds); ok && solve(p).Status != Infeasible {
 		return nil
 	}
 	active := allActive(len(p.Constraints))
 	for i := range active {
 		active[i] = false
 		rows := p.activeRows(active)
-		if ok, _, _ := refPropagateBounds(rows, p.Lower, p.Upper, propagationRounds); ok && p.solveRowsContext(ctx, rows).Status != Infeasible {
+		if ok, _, _ := refPropagateBounds(rows, p.Lower, p.Upper, propagationRounds); ok && p.solveActiveRows(rows).Status != Infeasible {
 			active[i] = true
 		}
 	}
@@ -188,7 +188,7 @@ func randomPropagationProblem(rng *rand.Rand) *Problem {
 			}
 		}
 		rel := []Rel{LE, GE, EQ}[rng.Intn(3)]
-		p.AddConstraint(coeffs, rel, rng.Float64()*30-15)
+		p.add(coeffs, rel, rng.Float64()*30-15)
 	}
 	if rng.Intn(4) == 0 {
 		p.MarkInteger(rowVars[rng.Intn(len(rowVars))])
@@ -198,55 +198,13 @@ func randomPropagationProblem(rng *rand.Rand) *Problem {
 
 // TestQuickCompiledPropagationMatchesReference: the compiled rows
 // propagate to the same verdict and bit-identical bounds as the reference,
-// and the deletion filters and CheckContext return the same subsets as the
-// filters built on the reference.
+// the deletion filters return the same subsets as the filters built on
+// the reference, and CheckContext returns the same result as the
+// reference flow (referenceMismatch).
 func TestQuickCompiledPropagationMatchesReference(t *testing.T) {
 	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p := randomPropagationProblem(rng)
-		s := p.compile()
-		want, refLo, refHi := refPropagateBounds(p.Constraints, p.Lower, p.Upper, propagationRounds)
-		if got := s.propagate(nil); got != want {
-			t.Logf("seed %d: propagate = %v, reference %v", seed, got, want)
-			return false
-		}
-		for j, v := range s.names {
-			wl, wh := math.Inf(-1), math.Inf(1)
-			if b, ok := refLo[v]; ok {
-				wl = b
-			}
-			if b, ok := refHi[v]; ok {
-				wh = b
-			}
-			if math.Float64bits(s.lo[j]) != math.Float64bits(wl) || math.Float64bits(s.hi[j]) != math.Float64bits(wh) {
-				t.Logf("seed %d: %s in [%v, %v], reference [%v, %v]", seed, v, s.lo[j], s.hi[j], wl, wh)
-				return false
-			}
-		}
-		if got, want := p.IISByPropagation(), refIISByPropagation(p); !reflect.DeepEqual(got, want) {
-			t.Logf("seed %d: IISByPropagation = %v, reference %v", seed, got, want)
-			return false
-		}
-		if got, want := p.IIS(), refIIS(p); !reflect.DeepEqual(got, want) {
-			t.Logf("seed %d: IIS = %v, reference %v", seed, got, want)
-			return false
-		}
-		// CheckContext against the flow it replaced: propagation filter,
-		// then a solve, then the guarded IIS.
-		res, iis := p.CheckContext(context.Background(), 200)
-		var wantRes Result
-		wantIIS := refIISByPropagation(p)
-		if wantIIS != nil {
-			wantRes = Result{Status: Infeasible}
-		} else {
-			wantRes = p.SolveMIPContext(context.Background(), 200)
-			if wantRes.Status == Infeasible {
-				wantIIS = refIIS(p)
-			}
-		}
-		if res.Status != wantRes.Status || res.Pivots != wantRes.Pivots || !reflect.DeepEqual(res.X, wantRes.X) || !reflect.DeepEqual(iis, wantIIS) {
-			t.Logf("seed %d: CheckContext = %v/%d pivots/%v, reference %v/%d pivots/%v",
-				seed, res.Status, res.Pivots, iis, wantRes.Status, wantRes.Pivots, wantIIS)
+		if msg := referenceMismatch(randomPropagationProblem(rand.New(rand.NewSource(seed)))); msg != "" {
+			t.Logf("seed %d: %s", seed, msg)
 			return false
 		}
 		return true
@@ -257,7 +215,7 @@ func TestQuickCompiledPropagationMatchesReference(t *testing.T) {
 	}
 }
 
-// activeRows and solveRowsContext are the subset solve as it ran before
+// activeRows and solveActiveRows are the subset solve as it ran before
 // the deletion filter solved over compiled rows: a fresh Problem from the
 // active rows and the bounds alone.
 func (p *Problem) activeRows(active []bool) []Constraint {
@@ -270,12 +228,106 @@ func (p *Problem) activeRows(active []bool) []Constraint {
 	return rows
 }
 
-func (p *Problem) solveRowsContext(ctx context.Context, rows []Constraint) Result {
+func (p *Problem) solveActiveRows(rows []Constraint) Result {
 	q := NewProblem()
 	q.Constraints = rows
 	q.Lower = p.Lower
 	q.Upper = p.Upper
-	return q.SolveContext(ctx)
+	return solve(q)
+}
+
+// refSolveMIP is branch-and-bound as it ran before its nodes held the
+// compiled rows' bound slices: each node holds name-keyed bound maps, and
+// the fixed re-solve compiles a Problem of its own. It returns the relaxed
+// solve when p marks no integer variable.
+func refSolveMIP(p *Problem) Result {
+	if len(p.Integer) == 0 {
+		return solve(p)
+	}
+	type node struct{ lower, upper map[string]float64 }
+	intVars := make([]string, 0, len(p.Integer))
+	for v := range p.Integer {
+		intVars = append(intVars, v)
+	}
+	sort.Strings(intVars)
+	stack := []node{{maps.Clone(p.Lower), maps.Clone(p.Upper)}}
+	hitLimit := false
+	for nodes := 0; len(stack) > 0; nodes++ {
+		if nodes >= maxNodes {
+			hitLimit = true
+			break
+		}
+		nd := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		r := solve(&Problem{Constraints: p.Constraints, Lower: nd.lower, Upper: nd.upper, Integer: p.Integer})
+		if r.Status == IterLimit {
+			hitLimit = true
+		}
+		if r.Status != Feasible {
+			continue
+		}
+		// The most fractional variable beyond intTol; failing that, when
+		// snapping fails, the most fractional one at all.
+		branchVar, worst := "", intTol
+		for _, v := range intVars {
+			if frac := math.Abs(r.X[v] - math.Round(r.X[v])); frac > worst {
+				branchVar, worst = v, frac
+			}
+		}
+		if branchVar == "" {
+			snapped := maps.Clone(r.X)
+			for _, v := range intVars {
+				snapped[v] = math.Round(snapped[v])
+			}
+			if p.Verify(snapped, true) == nil {
+				r.X = snapped
+				return r
+			}
+			for _, v := range intVars {
+				if frac := math.Abs(r.X[v] - math.Round(r.X[v])); frac > 0 && (branchVar == "" || frac > worst) {
+					branchVar, worst = v, frac
+				}
+			}
+			if branchVar == "" {
+				fixed := &Problem{Constraints: p.Constraints, Lower: maps.Clone(nd.lower), Upper: maps.Clone(nd.upper), Integer: p.Integer}
+				for _, v := range intVars {
+					fixed.Lower[v], fixed.Upper[v] = snapped[v], snapped[v]
+				}
+				fr := solve(fixed)
+				if fr.Status != Feasible {
+					continue
+				}
+				r.X = fr.X
+				for _, v := range intVars {
+					r.X[v] = math.Round(r.X[v])
+				}
+				if p.Verify(r.X, true) != nil {
+					continue
+				}
+				return r
+			}
+		}
+		f := r.X[branchVar]
+		down := node{maps.Clone(nd.lower), maps.Clone(nd.upper)}
+		if cur, ok := down.upper[branchVar]; !ok || math.Floor(f) < cur {
+			down.upper[branchVar] = math.Floor(f)
+		}
+		up := node{maps.Clone(nd.lower), maps.Clone(nd.upper)}
+		if cur, ok := up.lower[branchVar]; !ok || math.Ceil(f) > cur {
+			up.lower[branchVar] = math.Ceil(f)
+		}
+		for _, n := range []node{up, down} {
+			l, okL := n.lower[branchVar]
+			u, okU := n.upper[branchVar]
+			if !(okL && okU && l > u) {
+				stack = append(stack, n)
+			}
+		}
+	}
+	if hitLimit {
+		return Result{Status: IterLimit}
+	}
+	return Result{Status: Infeasible}
 }
 
 // randomFischerProblem draws a system shaped like the linear checks of the
@@ -330,45 +382,45 @@ func randomFischerProblem(rng *rand.Rand) *Problem {
 		case k < 7: // clock bound, mostly inside the range
 			switch c := constant(); rng.Intn(6) {
 			case 0:
-				p.AddConstraint(map[string]float64{x: 1}, EQ, c)
+				p.add(map[string]float64{x: 1}, EQ, c)
 			case 1, 2:
-				p.AddConstraint(map[string]float64{x: 1}, GE, c-width/3)
+				p.add(map[string]float64{x: 1}, GE, c-width/3)
 			default:
-				p.AddConstraint(map[string]float64{x: 1}, LE, c+width/3)
+				p.add(map[string]float64{x: 1}, LE, c+width/3)
 			}
 		case k < 9: // program counter, with a unit step for a strict row
 			pc := pcs[rng.Intn(2)]
 			c := float64(rng.Intn(4))
 			if rng.Intn(2) == 0 {
-				p.AddConstraint(map[string]float64{pc: 1}, EQ, c)
+				p.add(map[string]float64{pc: 1}, EQ, c)
 			} else {
-				p.AddConstraint(map[string]float64{pc: 1}, rels[rng.Intn(2)], c-1)
+				p.add(map[string]float64{pc: 1}, rels[rng.Intn(2)], c-1)
 			}
 		case k < 13: // difference
 			if x != y {
-				p.AddConstraint(map[string]float64{x: 1, y: -1}, rels[rng.Intn(3)], constant()-width/2)
+				p.add(map[string]float64{x: 1, y: -1}, rels[rng.Intn(3)], constant()-width/2)
 			}
 		case k < 17: // strict cycle through two or three clocks
 			n := 2 + rng.Intn(2)
 			start := rng.Intn(len(clocks))
 			for i := 0; i < n; i++ {
 				a, b := clocks[(start+i)%len(clocks)], clocks[(start+i+1)%len(clocks)]
-				p.AddConstraint(map[string]float64{a: 1, b: -1}, LE, -Epsilon*float64(1+rng.Intn(2)))
+				p.add(map[string]float64{a: 1, b: -1}, LE, -Epsilon*float64(1+rng.Intn(2)))
 			}
 		case k < 19: // a clock reset against a program counter
-			p.AddConstraint(map[string]float64{x: 1, pcs[rng.Intn(2)]: -1}, rels[rng.Intn(3)], constant())
+			p.add(map[string]float64{x: 1, pcs[rng.Intn(2)]: -1}, rels[rng.Intn(3)], constant())
 		default: // a sum of clocks, with a zero term
 			z := clocks[rng.Intn(len(clocks))]
-			p.AddConstraint(map[string]float64{x: 1, y: 1, z: 0}, rels[rng.Intn(3)], 2*constant())
+			p.add(map[string]float64{x: 1, y: 1, z: 0}, rels[rng.Intn(3)], 2*constant())
 		}
 	}
 	return p
 }
 
 // referenceMismatch compares the compiled propagation, both deletion
-// filters and CheckContext on p with their references, as
-// TestQuickCompiledPropagationMatchesReference does, and describes the
-// first difference ("" when there is none).
+// filters and CheckContext (its branch-and-bound against refSolveMIP) on
+// p with their references, and describes the first difference ("" when
+// there is none).
 func referenceMismatch(p *Problem) string {
 	s := p.compile()
 	want, refLo, refHi := refPropagateBounds(p.Constraints, p.Lower, p.Upper, propagationRounds)
@@ -388,8 +440,8 @@ func referenceMismatch(p *Problem) string {
 		}
 	}
 	wantProp := refIISByPropagation(p)
-	if got := p.IISByPropagation(); !reflect.DeepEqual(got, wantProp) {
-		return fmt.Sprintf("IISByPropagation = %v, reference %v", got, wantProp)
+	if got := s.iisByPropagation(); !reflect.DeepEqual(got, wantProp) {
+		return fmt.Sprintf("iisByPropagation = %v, reference %v", got, wantProp)
 	}
 	// The reason-cone skip alone, without the final check that would
 	// fall back to testing every row.
@@ -399,16 +451,18 @@ func referenceMismatch(p *Problem) string {
 			return fmt.Sprintf("propagationFilter = %v, reference %v", got, wantProp)
 		}
 	}
-	if got, want := p.IIS(), refIIS(p); !reflect.DeepEqual(got, want) {
-		return fmt.Sprintf("IIS = %v, reference %v", got, want)
+	if got, want := simplexIIS(p), refIIS(p); !reflect.DeepEqual(got, want) {
+		return fmt.Sprintf("deletionFilter = %v, reference %v", got, want)
 	}
-	res, iis := p.CheckContext(context.Background(), 200)
+	// CheckContext against the flow it replaced: the propagation filter,
+	// then a solve or the reference branch-and-bound, then the IIS.
+	res, iis := p.CheckContext(context.Background())
 	var wantRes Result
 	wantIIS := wantProp
 	if wantIIS != nil {
 		wantRes = Result{Status: Infeasible}
 	} else {
-		wantRes = p.SolveMIPContext(context.Background(), 200)
+		wantRes = refSolveMIP(p)
 		if wantRes.Status == Infeasible {
 			wantIIS = refIIS(p)
 		}
@@ -515,7 +569,7 @@ func decodeSystem(data []byte) *Problem {
 			row[y] = -1
 			row[z] = 0
 		}
-		p.AddConstraint(row, Rel(rc%3), consts[rhs%byte(len(consts))])
+		p.add(row, Rel(rc%3), consts[rhs%byte(len(consts))])
 	}
 	return p
 }

@@ -32,14 +32,14 @@ func TestQuickFeasibleByConstruction(t *testing.T) {
 			}
 			switch rng.Intn(3) {
 			case 0:
-				p.AddConstraint(coeffs, LE, lhs+rng.Float64())
+				p.add(coeffs, LE, lhs+rng.Float64())
 			case 1:
-				p.AddConstraint(coeffs, GE, lhs-rng.Float64())
+				p.add(coeffs, GE, lhs-rng.Float64())
 			default:
-				p.AddConstraint(coeffs, EQ, lhs)
+				p.add(coeffs, EQ, lhs)
 			}
 		}
-		r := p.Solve()
+		r := solve(p)
 		return r.Status == Feasible && p.Verify(r.X, false) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -61,14 +61,14 @@ func TestQuickIISIsInfeasibleSubset(t *testing.T) {
 			coeffs[v] = rng.Float64()*4 - 2
 		}
 		bound := rng.Float64() * 10
-		p.AddConstraint(cloneCoeffs(coeffs), GE, bound+1+rng.Float64())
-		p.AddConstraint(cloneCoeffs(coeffs), LE, bound)
+		p.add(cloneCoeffs(coeffs), GE, bound+1+rng.Float64())
+		p.add(cloneCoeffs(coeffs), LE, bound)
 		// Noise constraints.
 		for i := 0; i < rng.Intn(8); i++ {
 			cs := map[string]float64{vars[rng.Intn(len(vars))]: rng.Float64()*2 - 1}
-			p.AddConstraint(cs, LE, 10+rng.Float64()*100)
+			p.add(cs, LE, 10+rng.Float64()*100)
 		}
-		iis := p.IIS()
+		iis := simplexIIS(p)
 		if iis == nil {
 			return false // must be infeasible
 		}
@@ -77,7 +77,7 @@ func TestQuickIISIsInfeasibleSubset(t *testing.T) {
 		for _, i := range iis {
 			sub.Constraints = append(sub.Constraints, p.Constraints[i])
 		}
-		if sub.Solve().Status != Infeasible {
+		if solve(sub).Status != Infeasible {
 			return false
 		}
 		// Irreducible?
@@ -88,7 +88,7 @@ func TestQuickIISIsInfeasibleSubset(t *testing.T) {
 					q.Constraints = append(q.Constraints, p.Constraints[i])
 				}
 			}
-			if q.Solve().Status == Infeasible {
+			if solve(q).Status == Infeasible {
 				return false
 			}
 		}
@@ -128,10 +128,10 @@ func TestQuickPropagationSoundness(t *testing.T) {
 				}
 			}
 			rel := []Rel{LE, GE, EQ}[rng.Intn(3)]
-			p.AddConstraint(coeffs, rel, float64(rng.Intn(21)-10))
+			p.add(coeffs, rel, float64(rng.Intn(21)-10))
 		}
-		if p.RefutedByPropagation() {
-			return p.Solve().Status == Infeasible
+		if refuted(p) {
+			return solve(p).Status == Infeasible
 		}
 		return true
 	}
@@ -140,7 +140,7 @@ func TestQuickPropagationSoundness(t *testing.T) {
 	}
 }
 
-// TestQuickPresolveEquivalence: Solve with presolve agrees with a direct
+// TestQuickPresolveEquivalence: a solve with presolve agrees with a direct
 // tableau solve on feasibility status.
 func TestQuickPresolveEquivalence(t *testing.T) {
 	vars := []string{"a", "b"}
@@ -154,9 +154,9 @@ func TestQuickPresolveEquivalence(t *testing.T) {
 				coeffs[vars[rng.Intn(len(vars))]] = float64(rng.Intn(9) - 4)
 			}
 			rel := []Rel{LE, GE, EQ}[rng.Intn(3)]
-			p.AddConstraint(coeffs, rel, float64(rng.Intn(13)-6))
+			p.add(coeffs, rel, float64(rng.Intn(13)-6))
 		}
-		got := p.Solve().Status
+		got := solve(p).Status
 		// Direct tableau (no presolve).
 		direct := solveWithoutPresolve(p)
 		if got == IterLimit || direct == IterLimit {
@@ -187,7 +187,7 @@ func solveWithoutPresolve(p *Problem) Status {
 	return t.run()
 }
 
-// TestQuickMIPRespectsIntegrality: SolveMIP returns integral values for
+// TestQuickMIPRespectsIntegrality: branch-and-bound returns integral values for
 // marked variables, verified against bounds and rows.
 func TestQuickMIPRespectsIntegrality(t *testing.T) {
 	f := func(seed int64) bool {
@@ -203,9 +203,9 @@ func TestQuickMIPRespectsIntegrality(t *testing.T) {
 				"y": float64(rng.Intn(7) - 3),
 			}
 			rel := []Rel{LE, GE}[rng.Intn(2)]
-			p.AddConstraint(coeffs, rel, float64(rng.Intn(17)-8))
+			p.add(coeffs, rel, float64(rng.Intn(17)-8))
 		}
-		r := p.SolveMIP(0)
+		r := solveInt(p)
 		if r.Status != Feasible {
 			return true
 		}
@@ -229,14 +229,34 @@ func TestMIPEpsilonStrictUnbounded(t *testing.T) {
 	p := NewProblem()
 	p.MarkInteger("v")
 	p.MarkInteger("u")
-	p.AddConstraint(map[string]float64{"v": 1}, LE, -4)
-	p.AddConstraint(map[string]float64{"v": 1}, LE, -4)
-	p.AddConstraint(map[string]float64{"u": 1}, GE, 1e-6)
-	r := p.SolveMIP(0)
+	p.add(map[string]float64{"v": 1}, LE, -4)
+	p.add(map[string]float64{"v": 1}, LE, -4)
+	p.add(map[string]float64{"u": 1}, GE, 1e-6)
+	r := solveInt(p)
 	if r.Status != Feasible {
 		t.Fatalf("status = %v, want feasible (u=1, v=-4)", r.Status)
 	}
 	if r.X["u"] < 1 || r.X["v"] > -4 {
 		t.Fatalf("witness %v", r.X)
+	}
+}
+
+// TestMIPSubToleranceFraction: an integer variable the relaxation leaves
+// within 1e-9 of an integer, whose snapped point fails Verify, is branched
+// on rather than abandoned with the rest of the node. Here n = 1.0000000005
+// snaps to n = 1, y = 1000.0000005, which breaks 1000n − y = 0; n = 2,
+// y = 2000 is a solution.
+func TestMIPSubToleranceFraction(t *testing.T) {
+	p := NewProblem()
+	p.MarkInteger("n")
+	p.SetBounds("n", 0, 10)
+	p.add(map[string]float64{"n": 1000, "y": -1}, EQ, 0)
+	p.add(map[string]float64{"y": 1}, GE, 1000.0000005)
+	r, iis := p.CheckContext(context.Background())
+	if r.Status != Feasible {
+		t.Fatalf("status = %v, IIS %v; want feasible (n=2, y=2000)", r.Status, iis)
+	}
+	if err := p.Verify(r.X, true); err != nil {
+		t.Fatal(err)
 	}
 }

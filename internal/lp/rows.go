@@ -83,23 +83,6 @@ func (r *Rows) AddRow(terms []Term, rel Rel, rhs float64, tag int) {
 	r.rows = append(r.rows, Row{Terms: r.terms[start:len(r.terms):len(r.terms)], Rel: rel, RHS: rhs, Tag: tag})
 }
 
-// boundsFrom sets every variable's bounds from lower and upper, as compile
-// sets them from a Problem's; the maps must name only r's variables.
-func (r *Rows) boundsFrom(lower, upper map[string]float64) {
-	for j := range r.lo0 {
-		r.lo0[j], r.hi0[j] = math.Inf(-1), math.Inf(1)
-		r.hasLo[j], r.hasHi[j] = false, false
-	}
-	for v, b := range lower {
-		j := sort.SearchStrings(r.names, v)
-		r.lo0[j], r.hasLo[j] = b, true
-	}
-	for v, b := range upper {
-		j := sort.SearchStrings(r.names, v)
-		r.hi0[j], r.hasHi[j] = b, true
-	}
-}
-
 // NumRows is the number of rows.
 func (r *Rows) NumRows() int { return len(r.rows) }
 

@@ -58,7 +58,7 @@ func (s *Simplex) Pivots() int { return s.t.pivots }
 // none).
 func (s *Simplex) Value(j int) (float64, bool) { return s.t.x[j], s.t.has[j] }
 
-// tableaus recycles the tableaus of Problem solves across calls.
+// tableaus recycles the tableaus of CheckContext's solves across calls.
 var tableaus = sync.Pool{New: func() any { return new(tableau) }}
 
 // solveRows solves the rows of r with a pooled tableau and the default

@@ -97,10 +97,3 @@ func (s *Solver) AllSATContext(ctx context.Context, important []Var, maxModels i
 		}
 	}
 }
-
-// CountModels returns the number of satisfying assignments over the given
-// projection (nil = all variables), up to max (0 = unbounded). The solver
-// is consumed in the same way as by AllSAT.
-func (s *Solver) CountModels(important []Var, max int) (int, error) {
-	return s.AllSAT(important, max, nil)
-}

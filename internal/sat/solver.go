@@ -3,7 +3,6 @@ package sat
 import (
 	"context"
 	"errors"
-	"math"
 )
 
 // ErrBudget is returned by Solve when the configured conflict budget is
@@ -150,9 +149,6 @@ func (s *Solver) Value(l Lit) LBool {
 	}
 	return v
 }
-
-// VarValue returns the current assignment of variable v.
-func (s *Solver) VarValue(v Var) LBool { return s.assigns[v] }
 
 // Okay reports whether the clause set is still possibly satisfiable (false
 // after a top-level conflict has been derived).
@@ -967,19 +963,3 @@ func (s *Solver) SetPolarity(v Var, neg bool) {
 	s.EnsureVars(v + 1)
 	s.phase[v] = neg
 }
-
-// BumpActivity raises v's branching priority; used by the SMT engine to
-// focus on theory-relevant variables.
-func (s *Solver) BumpActivity(v Var, amount float64) {
-	s.EnsureVars(v + 1)
-	s.activity[v] += amount * s.varInc
-	if s.activity[v] > 1e100 {
-		for i := range s.activity {
-			s.activity[i] *= 1e-100
-		}
-		s.varInc *= 1e-100
-	}
-	s.order.update(v, s.activity)
-}
-
-var _ = math.Inf // keep math imported for future tuning constants

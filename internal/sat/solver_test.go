@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -468,5 +469,23 @@ func TestSetPolarity(t *testing.T) {
 	}
 	if !model[v] {
 		t.Fatal("polarity hint not honoured on unconstrained variable")
+	}
+}
+
+// TestStatsAddSumsEveryField: Add sums each counter, so a counter added to
+// Stats without a line in Add fails here.
+func TestStatsAddSumsEveryField(t *testing.T) {
+	var o, st Stats
+	ov := reflect.ValueOf(&o).Elem()
+	for i := 0; i < ov.NumField(); i++ {
+		ov.Field(i).SetInt(int64(i + 1))
+	}
+	st.Add(o)
+	st.Add(o)
+	sv := reflect.ValueOf(st)
+	for i := 0; i < sv.NumField(); i++ {
+		if got := sv.Field(i).Int(); got != 2*int64(i+1) {
+			t.Errorf("%s = %d after adding %d twice", sv.Type().Field(i).Name, got, i+1)
+		}
 	}
 }

@@ -125,3 +125,18 @@ type Stats struct {
 	// arena.
 	ArenaCompactions int64
 }
+
+// Add adds every counter of o to st.
+func (st *Stats) Add(o Stats) {
+	st.Decisions += o.Decisions
+	st.Propagations += o.Propagations
+	st.Conflicts += o.Conflicts
+	st.Restarts += o.Restarts
+	st.Learnt += o.Learnt
+	st.DeletedLearnt += o.DeletedLearnt
+	st.SolveCalls += o.SolveCalls
+	st.ClausesSubsumed += o.ClausesSubsumed
+	st.ProbedLiterals += o.ProbedLiterals
+	st.FailedLiterals += o.FailedLiterals
+	st.ArenaCompactions += o.ArenaCompactions
+}

@@ -94,7 +94,7 @@ func (o *Oracle) norm() Oracle {
 // Decide computes ground truth for p by exhaustive enumeration: every
 // Boolean assignment satisfying the skeleton induces a conjunction of
 // (possibly negated) bound atoms, whose feasibility under the problem's
-// bounds is decided by ConjFeasible. Distinct assignments agreeing on the
+// bounds is decided by conjFeasible. Distinct assignments agreeing on the
 // bound variables share one feasibility check.
 func (o *Oracle) Decide(p *core.Problem) (Verdict, error) {
 	cfg := o.norm()
@@ -146,15 +146,6 @@ func (o *Oracle) Decide(p *core.Problem) (Verdict, error) {
 		return Inconclusive, nil
 	}
 	return Unsat, nil
-}
-
-// ConjFeasible decides whether the conjunction of atoms admits a point in
-// box (variables in ints restricted to integer values): True means a
-// satisfying point exists and was re-checked exactly, False means the
-// conjunction is refuted everywhere in the box, Unknown means the budget
-// ran out undecided.
-func (o *Oracle) ConjFeasible(atoms []expr.Atom, box expr.Box, ints map[string]bool) expr.Truth {
-	return o.norm().conjFeasible(atoms, box, ints)
 }
 
 // AuditLemmas replays the soundness obligation of every recorded conflict,
